@@ -5,7 +5,8 @@ Not every collection can arise this way; the adequacy predicate below is a
 necessary condition, and denseness is the stronger condition driving the
 constructive realization.  The enumerator sweeps all collections for a given
 ambient dimension (bitmask-vectorized, so the million-subset case n = 5
-stays in seconds) and groups them into orbits of the coordinate symmetry.
+takes well under a second) and groups them into orbits of the coordinate
+symmetry.
 """
 
 from __future__ import annotations
@@ -77,9 +78,14 @@ class OrbitCatalog:
     total: int
 
     def __post_init__(self) -> None:
-        assert sum(self.orbit_sizes) == self.total
+        if sum(self.orbit_sizes) != self.total:
+            raise ValueError(
+                f"orbit sizes sum to {sum(self.orbit_sizes)}, not the total {self.total}"
+            )
         order = factorial(self.n + 1)
-        assert all(order % s == 0 for s in self.orbit_sizes)
+        bad = [s for s in self.orbit_sizes if order % s]
+        if bad:
+            raise ValueError(f"orbit sizes {bad} do not divide the group order {order}")
 
     def __len__(self) -> int:
         return len(self.representatives)

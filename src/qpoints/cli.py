@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Point varieties of quantum polynomial algebras: "
         "exact computation, enumeration, degeneration graphs, realization.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for realize --class N all")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes for realize --class N all (capped at the CPU and class counts)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pts", help="point variety of a matrix JSON file")

@@ -131,7 +131,10 @@ def _closed_reps_scan(n: int) -> list[DegNode]:
     nodes = []
     for cm, (J, lat, count) in by_canon.items():
         node = _node_from_closed(J, lat)
-        assert node.orbit_size == count
+        if node.orbit_size != count:
+            raise RuntimeError(
+                f"orbit of {J} has {node.orbit_size} images but the scan met {count}"
+            )
         nodes.append(node)
     return nodes
 
@@ -195,8 +198,8 @@ def enumerate_nodes(
     n: int, long: bool = False, method: str = "auto"
 ) -> tuple[DegNode, ...]:
     """All degeneration-graph nodes of dimension n, sorted by (label,
-    canonical closed set).  n = 5 runs for minutes and must be requested
-    with long=True."""
+    canonical closed set).  n = 5 takes a fraction of a second but must
+    still be requested with long=True."""
     if n > 5:
         raise BudgetError("node enumeration supported for n <= 5")
     if n == 5 and not long:

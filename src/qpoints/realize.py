@@ -1,36 +1,35 @@
 """Constructive realization of collections as concrete algebras.
 
 Given an adequate collection of excluded planes, build a commutation matrix
-whose point variety excludes exactly those planes.  Dense collections are
-handled by the inductive construction: pick a coordinate line meeting many
-members, realize the two facets obtained by dropping either endpoint,
-splice the results along their common block by solving for a generator
-substitution, and fix the one remaining entry with a generic value or the
-forced scaling.  The two exceptional non-dense collections in six variables
-are realized by their stored matrices.  Every result is verified exactly;
-a construction that misses its target is reported, never accepted.
+whose point variety excludes exactly those planes.  The good-triple set of
+any matrix is closed under the integer span of its characters, so a
+collection is realizable only when its complement is closed; otherwise the
+planes the span forces back in are reported as the obstruction.  A closed
+complement is realized by its generic point: the character equations are
+solved over the exponent lattice, with fresh generators for the free
+directions and a torsion character chosen to keep every excluded plane
+obstructed.  Every result is verified exactly; a construction that misses
+its target is reported, never accepted.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
-from .adequacy import Collection, enumerate_adequate, is_adequate, is_dense
-from .gallery import (
-    block_matrix,
-    pentagonal_collection,
-    sign_matrix,
-    transversal_collection,
+from .adequacy import Collection, enumerate_adequate, is_adequate
+from .lattice import (
+    closure,
+    num_pairs,
+    pair_index,
+    pair_list,
+    smith_normal_form,
+    snf_diagonal,
+    triple_char,
 )
-from .lattice import num_pairs, pair_list, smith_normal_form, snf_diagonal, triple_char
-from .scalars import (
-    GroupScalar,
-    NameSupply,
-    QMatrix,
-    scalar_power_product,
-)
+from .scalars import GroupScalar, NameSupply, QMatrix
 from .triples import TripleSet, all_triples
 from .variety import good_triples
 
@@ -41,14 +40,6 @@ class RealizationError(Exception):
 
 class NotAdequateError(RealizationError):
     """The input collection fails the adequacy condition."""
-
-
-class UnsupportedCollectionError(RealizationError):
-    """Non-dense input outside the known exceptional classes."""
-
-
-class GroupSolveError(Exception):
-    """The linear system over the scalar group has no solution."""
 
 
 class GenericPointError(Exception):
@@ -65,199 +56,6 @@ class RealizationResult:
     detail: str = ""
 
 
-def _rank_one_matrix(n: int, supply: NameSupply) -> QMatrix:
-    """Matrix with every obstruction scalar equal to 1: q_ij = t_i / t_j
-    for fresh generators t_i.  Realizes the empty collection."""
-    gens = [supply.fresh_scalar() for _ in range(n + 1)]
-    upper = {
-        (i, j): gens[i] * gens[j].inverse()
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    return QMatrix(n, upper)
-
-
-def _scalar_root(s: GroupScalar, d: int) -> GroupScalar:
-    """A y with y**d == s, if one exists."""
-    exps = []
-    for g, e in s.exponents:
-        if e % d:
-            raise GroupSolveError(f"exponent of {g} not divisible by {d}")
-        exps.append((g, e // d))
-    m = s.modulus
-    g = gcd(d, m)
-    if s.torsion % g:
-        raise GroupSolveError("torsion component not divisible")
-    t = (s.torsion // g) * pow(d // g, -1, m // g) % (m // g) if m // g > 1 else 0
-    return GroupScalar(tuple(exps), t, m)
-
-
-def solve_group_system(
-    rows: list[list[int]],
-    targets: list[GroupScalar],
-    gens: list[str],
-    supply: NameSupply,
-    modulus: int = 2,
-) -> dict[str, GroupScalar]:
-    """Solve prod_g images[g]**rows[r][g] == targets[r] for every row.
-
-    Returns a substitution for the named generators.  Unconstrained degrees
-    of freedom receive fresh generators, which keeps the substituted matrix
-    as generic as the system allows.  Raises GroupSolveError when the
-    system is unsolvable over the scalar group.
-    """
-    if not rows:
-        return {}
-    if not gens:
-        if any(not t.is_one for t in targets):
-            raise GroupSolveError("no unknowns but nontrivial targets")
-        return {}
-    D, U, V = smith_normal_form(rows)
-    diag = snf_diagonal(D)
-    ncols = len(gens)
-    y: list[GroupScalar] = []
-    for c in range(ncols):
-        d = diag[c] if c < len(diag) else 0
-        rhs = scalar_power_product(targets, (U[c][r] for r in range(len(targets))), modulus) if c < len(rows) else None
-        if d == 0:
-            if rhs is not None and not rhs.is_one:
-                raise GroupSolveError("inconsistent row")
-            y.append(supply.fresh_scalar(modulus))
-        elif d == 1:
-            y.append(rhs)
-        else:
-            y.append(_scalar_root(rhs, d))
-    for r in range(ncols, len(rows)):
-        rhs = scalar_power_product(targets, (U[r][s] for s in range(len(targets))), modulus)
-        if not rhs.is_one:
-            raise GroupSolveError("inconsistent row beyond rank")
-    return {
-        g: scalar_power_product(y, (V[i][c] for c in range(ncols)), modulus)
-        for i, g in enumerate(gens)
-    }
-
-
-def _dense_pairs(C: Collection) -> list[tuple[int, int]]:
-    """Coordinate lines witnessing denseness, most-covered first."""
-    n = C.n
-    need = max(n - 2, 0)
-    counts = {p: 0 for p in pair_list(n)}
-    for (i, j, k) in C.triples:
-        for pair in ((i, j), (i, k), (j, k)):
-            counts[pair] += 1
-    eligible = [(p, c) for p, c in counts.items() if c >= need]
-    eligible.sort(key=lambda pc: (-pc[1], pc[0]))
-    return [p for p, _ in eligible]
-
-
-def _renumbering(i0: int, j0: int, n: int) -> tuple[int, ...]:
-    """Permutation sending i0 -> 0, j0 -> n, others in ascending order."""
-    perm = [0] * (n + 1)
-    perm[i0] = 0
-    perm[j0] = n
-    nxt = 1
-    for v in range(n + 1):
-        if v not in (i0, j0):
-            perm[v] = nxt
-            nxt += 1
-    return tuple(perm)
-
-
-def _realize_dense(C: Collection, supply: NameSupply) -> QMatrix | None:
-    """The inductive construction for a dense collection; None on failure."""
-    n = C.n
-    for (i0, j0) in _dense_pairs(C):
-        perm = _renumbering(i0, j0, n)
-        CC = C.apply(perm)
-        Q = _realize_split(CC, supply)
-        if Q is None:
-            continue
-        # Q realizes CC in the renumbered coordinates; pull back along perm.
-        result = Q.conjugate(perm)
-        if good_triples(result).complement() == C:
-            return result
-    return None
-
-
-def _realize_split(CC: Collection, supply: NameSupply) -> QMatrix | None:
-    """Realize a collection whose line P(0, n) lies in >= n-2 members."""
-    n = CC.n
-    c1, c2, c3, c4 = [], [], [], []
-    for t in CC:
-        has0, hasn = 0 in t, n in t
-        if has0 and hasn:
-            c4.append(t)
-        elif has0:
-            c2.append(t)
-        elif hasn:
-            c3.append(t)
-        else:
-            c1.append(t)
-    if len(c4) < max(n - 2, 0):
-        return None
-    D1 = TripleSet.of(n - 1, c1 + c2)
-    D2 = TripleSet.of(n - 1, [(a - 1, b - 1, c - 1) for (a, b, c) in c1 + c3])
-    assert is_adequate(D1) and is_adequate(D2), "facets of an adequate collection"
-    QA = _realize_inner(D1, supply)
-    QB = _realize_inner(D2, supply)
-    if QA is None or QB is None:
-        return None
-    gens_b = sorted({g for s in QB.upper.values() for g in s.generators()})
-    overlap = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    rows = [
-        [QB.upper[(i - 1, j - 1)].exponent_map().get(g, 0) for g in gens_b]
-        for (i, j) in overlap
-    ]
-    targets = [QA.upper[(i, j)] for (i, j) in overlap]
-    try:
-        images = solve_group_system(rows, targets, gens_b, supply)
-    except GroupSolveError:
-        return None
-    QBs = QB.substitute(images)
-    x = supply.fresh_scalar()
-    if len(c4) == n - 1:
-        lam = GroupScalar.one(2)
-    else:
-        present = {t[1] for t in c4}
-        missing = [i for i in range(1, n) if i not in present]
-        assert len(missing) == 1
-        i_star = missing[0]
-        lam = (
-            QA.entry(0, i_star).inverse()
-            * QBs.entry(i_star - 1, n - 1).inverse()
-            * x
-        )
-    upper: dict[tuple[int, int], GroupScalar] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            upper[(i, j)] = QA.upper[(i, j)]
-    for i in range(1, n):
-        upper[(i, n)] = lam * QBs.entry(i - 1, n - 1)
-    upper[(0, n)] = x
-    Q = QMatrix(n, upper)
-    if good_triples(Q).complement() != CC:
-        return None
-    return Q
-
-
-def _realize_inner(C: Collection, supply: NameSupply) -> QMatrix | None:
-    if not C.triples:
-        return _rank_one_matrix(C.n, supply)
-    assert is_dense(C), "recursive subproblems are dense or empty for n <= 5"
-    return _realize_dense(C, supply)
-
-
-def _realize_stored(C: Collection, supply: NameSupply) -> tuple[QMatrix, str] | None:
-    for stored, matrix, method in (
-        (transversal_collection(), block_matrix(supply.fresh()), "stored-block"),
-        (pentagonal_collection(), sign_matrix(), "stored-sign"),
-    ):
-        perm = C.find_permutation_to(stored)
-        if perm is not None:
-            return matrix.conjugate(perm), method
-    return None
-
-
 def forced_good_triples(C: Collection) -> list:
     """Excluded planes of C that no algebra can avoid: triples of C whose
     character lies in the integer span of the complement's characters.
@@ -266,8 +64,6 @@ def forced_good_triples(C: Collection) -> list:
     scalars multiply along integer character relations), so a collection
     whose complement is not closed is not exactly realizable.
     """
-    from .lattice import closure
-
     good = C.complement()
     return sorted(closure(good).triples - good.triples)
 
@@ -275,16 +71,16 @@ def forced_good_triples(C: Collection) -> list:
 def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResult:
     """Build a matrix whose excluded planes are exactly C, and verify it.
 
-    Preconditions: C adequate and n <= 5; C must be empty, dense, or one of
-    the two exceptional non-dense classes in six variables.  A collection
-    whose complement is not character-closed is reported as unrealizable
-    (no construction can reach it; see forced_good_triples).
+    Preconditions: C adequate and n <= 5.  A collection whose complement is
+    not character-closed is reported as obstructed, naming the forced planes
+    (see forced_good_triples).  Otherwise the complement's generic point
+    (generic_point_of_node) is the matrix, exactly verified there; a closed
+    set without a generic point is reported with the reason.
     """
     if not is_adequate(C):
         raise NotAdequateError(f"collection is not adequate: {C}")
     if C.n > 5:
         raise RealizationError("realization supported for n <= 5 only")
-    supply = supply if supply is not None else NameSupply()
     forced = forced_good_triples(C)
     if forced:
         return RealizationResult(
@@ -296,28 +92,11 @@ def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResul
             "no exact realization exists: the character span of the "
             f"complement forces {forced} into the point variety",
         )
-    if not C.triples:
-        matrix: QMatrix | None = _rank_one_matrix(C.n, supply)
-        method = "empty"
-    elif is_dense(C):
-        matrix = _realize_dense(C, supply)
-        method = "recursive"
-    else:
-        stored = _realize_stored(C, supply)
-        if stored is None:
-            raise UnsupportedCollectionError(
-                "non-dense adequate collection outside the two known classes"
-            )
-        matrix, method = stored
-    if matrix is None:
-        return RealizationResult(
-            None, None, C, False, method, "construction exhausted all dense lines"
-        )
-    achieved = good_triples(matrix).complement()
-    return RealizationResult(
-        matrix, achieved, C, achieved == C, method,
-        "" if achieved == C else "achieved collection differs from target",
-    )
+    try:
+        matrix = generic_point_of_node(C.complement(), supply)
+    except GenericPointError as exc:
+        return RealizationResult(None, None, C, False, "generic-point", f"no generic point: {exc}")
+    return RealizationResult(matrix, C, C, True, "generic-point")
 
 
 @dataclass(frozen=True)
@@ -341,19 +120,22 @@ class RealizeAllSummary:
         return counts
 
 
-def _realize_class(rep: Collection) -> RealizationResult:
-    return realize(rep)
+def _worker_count(threads: int, tasks: int) -> int:
+    """Worker processes worth starting: no more than requested, than CPUs,
+    or than tasks, and at least one."""
+    return max(1, min(threads, os.cpu_count() or 1, tasks))
 
 
 def realize_all(n: int, threads: int = 1) -> RealizeAllSummary:
     """Run the realization on every adequate orbit class of dimension n."""
     catalog = enumerate_adequate(n)
     reps = catalog.representatives
-    if threads > 1:
+    workers = _worker_count(threads, len(reps))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(_realize_class, reps, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = tuple(pool.map(realize, reps, chunksize=8))
     else:
         results = tuple(realize(rep) for rep in reps)
     return RealizeAllSummary(n, results, catalog.orbit_sizes)
@@ -371,10 +153,6 @@ def generic_point_of_node(
     searched for a character that keeps every triple outside the closed set
     obstructed.  The result is verified exactly.
     """
-    from .lattice import closure
-
-    if closure(closed) != closed:
-        raise ValueError("input must be closed under the character span")
     supply = supply if supply is not None else NameSupply()
     n = closed.n
     P = num_pairs(n)
@@ -390,16 +168,21 @@ def generic_point_of_node(
     torsion_cols = [(i, orders[i]) for i in range(P) if orders[i] > 1]
     m = lcm(*(d for _, d in torsion_cols)) if torsion_cols else 1
     modulus = m if m > 1 else 2
-    # transformed characters z = char . V
-    trips = all_triples(n)
-    zs = {}
-    for t in trips:
-        char = triple_char(t, n)
-        zs[t] = [sum(char[p] * V[p][i] for p in range(P)) for i in range(P)]
-    outside = [t for t in trips if t not in closed.triples]
-    free_zero_outside = [
-        t for t in outside if all(zs[t][i] == 0 for i in free_cols)
-    ]
+    # transformed characters z = char . V of the triples outside the closed
+    # set, read off the three pair rows of V: z = V[ij] + V[jk] - V[ik]
+    idx = pair_index(n)
+    free_zero_outside = []
+    for (i, j, k) in all_triples(n):
+        if (i, j, k) in closed.triples:
+            continue
+        a, b, c = V[idx[(i, j)]], V[idx[(j, k)]], V[idx[(i, k)]]
+        z = [a[x] + b[x] - c[x] for x in range(P)]
+        if all(z[x] == 0 for x in free_cols):
+            free_zero_outside.append(z)
+    # a character lies in the span exactly when z vanishes on the free
+    # columns and is divisible by the order of every torsion column
+    if any(all(z[x] % d == 0 for x, d in torsion_cols) for z in free_zero_outside):
+        raise ValueError("input must be closed under the character span")
     # choose torsion characters separating every remaining outside triple
     total = 1
     for _, d in torsion_cols:
@@ -409,9 +192,9 @@ def generic_point_of_node(
     choice = None
     for cand in itertools.product(*(range(d) for _, d in torsion_cols)):
         ok = True
-        for t in free_zero_outside:
+        for z in free_zero_outside:
             phase = sum(
-                (m // d) * c * zs[t][i] for (i, d), c in zip(torsion_cols, cand)
+                (m // d) * c * z[i] for (i, d), c in zip(torsion_cols, cand)
             ) % m
             if phase == 0:
                 ok = False

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .triples import Triple, check_triple
 
@@ -75,9 +75,6 @@ class GroupScalar:
         cls, exponents: Mapping[str, int], torsion: int = 0, modulus: int = 2
     ) -> "GroupScalar":
         return cls(tuple(exponents.items()), torsion, modulus)
-
-    def exponent_map(self) -> dict[str, int]:
-        return dict(self.exponents)
 
     def generators(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.exponents)
@@ -215,9 +212,6 @@ class NameSupply:
     def fresh(self) -> str:
         self._count += 1
         return f"{self.prefix}{self._count}"
-
-    def fresh_scalar(self, modulus: int = 2) -> GroupScalar:
-        return GroupScalar.generator(self.fresh(), modulus)
 
 
 @dataclass(frozen=True)
@@ -398,13 +392,3 @@ def rational_b(matrix: list[list[Fraction]], t: Triple) -> Fraction:
     """b-value of an instantiated rational matrix (numeric oracle)."""
     i, j, k = t
     return matrix[i][j] * matrix[j][k] / matrix[i][k]
-
-
-def scalar_power_product(
-    scalars: Iterable[GroupScalar], powers: Iterable[int], modulus: int
-) -> GroupScalar:
-    out = GroupScalar.one(modulus)
-    for s, p in zip(scalars, powers):
-        if p:
-            out = out * s ** p
-    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -232,7 +232,3 @@ class TripleSet:
     def __repr__(self) -> str:
         body = ", ".join(str(t) for t in self.sorted())
         return f"TripleSet(n={self.n}, {{{body}}})"
-
-
-def symmetric_group_order(n: int) -> int:
-    return factorial(n + 1)

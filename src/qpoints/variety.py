@@ -132,7 +132,6 @@ def components(good: TripleSet) -> Configuration:
     counts = [0] * (n + 1)
     for comp in maximal:
         counts[len(comp) - 1] += 1
-    assert counts[0] == 0, "a single coordinate point can never be maximal"
     type_vector = tuple(counts[d] for d in range(n, 0, -1))
     return Configuration(n, tuple(maximal), type_vector)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_qmatrix, random_structured_qmatrix
 from qpoints.adequacy import (
+    OrbitCatalog,
     adequate_masks,
     canonical_form,
     enumerate_adequate,
@@ -144,6 +145,13 @@ class TestEnumeration:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             enumerate_adequate(6)
+
+    def test_catalog_rejects_inconsistent_orbits(self):
+        reps = (TripleSet.empty(3),)
+        with pytest.raises(ValueError, match="sum"):
+            OrbitCatalog(3, reps, (1,), 2)
+        with pytest.raises(ValueError, match="divide"):
+            OrbitCatalog(3, reps, (5,), 5)
 
 
 class TestNonDense:

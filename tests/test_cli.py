@@ -150,6 +150,13 @@ class TestRealize:
         out = capsys.readouterr().out
         assert "realized 174/175" in out
         assert out.count("FAILED (obstructed)") == 1
+        class_lines = [line for line in out.splitlines() if line.startswith("class ")]
+        assert len(class_lines) == 175
+        failed = [line for line in class_lines if "FAILED" in line]
+        assert failed == ["class 106: FAILED (obstructed)"]
+        for line in class_lines:
+            if line not in failed:
+                assert line.endswith(" (generic-point)"), line
 
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit):

@@ -135,6 +135,19 @@ class TestNodes:
         with pytest.raises(BudgetError):
             enumerate_nodes(6, long=True)
 
+    def test_scan_rejects_inconsistent_orbit(self, monkeypatch):
+        import qpoints.degeneration as degeneration
+
+        real = degeneration.canonical_mask_orbit
+
+        def miscounted(n, mask):
+            cm, orbit = real(n, mask)
+            return cm, orbit + 1
+
+        monkeypatch.setattr(degeneration, "canonical_mask_orbit", miscounted)
+        with pytest.raises(RuntimeError, match="orbit"):
+            degeneration._closed_reps_scan(2)
+
     def test_ids_disambiguate(self):
         nodes = enumerate_nodes(4)
         ids = node_ids(nodes)

@@ -1,22 +1,26 @@
+import importlib
+import os
+
 import pytest
 
 from qpoints.adequacy import is_dense
 from qpoints.gallery import (
+    block_matrix,
     p3_two_planes_collection,
     pentagonal_collection,
+    sign_matrix,
     transversal_collection,
 )
 from qpoints.realize import (
-    GroupSolveError,
     NotAdequateError,
     RealizationError,
+    _worker_count,
     forced_good_triples,
     generic_point_of_node,
     realize,
     realize_all,
-    solve_group_system,
 )
-from qpoints.scalars import GroupScalar, NameSupply, parse_scalar
+from qpoints.scalars import NameSupply
 from qpoints.triples import TripleSet, permutations
 from qpoints.variety import good_triples
 
@@ -37,7 +41,7 @@ class TestRealize:
     def test_reference_collection(self):
         C = p3_two_planes_collection()
         result = realize(C)
-        assert result.success and result.method == "recursive"
+        assert result.success and result.method == "generic-point"
         assert good_triples(result.matrix).complement() == C
         # same shape as the worked example: a rank-one block on {0,1,2}
         assert result.matrix.b((0, 1, 2)).is_one
@@ -45,23 +49,26 @@ class TestRealize:
 
     def test_empty_collection_gives_rank_one(self):
         result = realize(TripleSet.empty(4))
-        assert result.success and result.method == "empty"
+        assert result.success and result.method == "generic-point"
         assert good_triples(result.matrix) == TripleSet.full(4)
 
     def test_stored_collections(self):
-        for C, method in (
-            (transversal_collection(), "stored-block"),
-            (pentagonal_collection(), "stored-sign"),
+        # the stored gallery matrices are independent oracles for the two
+        # non-dense classes; realize reaches both through the generic point
+        for C, stored in (
+            (transversal_collection(), block_matrix()),
+            (pentagonal_collection(), sign_matrix()),
         ):
+            assert good_triples(stored).complement() == C
             result = realize(C)
-            assert result.success and result.method == method
+            assert result.success and result.method == "generic-point"
             assert good_triples(result.matrix).complement() == C
 
     def test_stored_collections_up_to_symmetry(self):
         perm = permutations(5)[123]
         C = transversal_collection().apply(perm)
         result = realize(C)
-        assert result.success and result.method == "stored-block"
+        assert result.success and result.method == "generic-point"
         assert good_triples(result.matrix).complement() == C
 
     def test_not_adequate_rejected(self):
@@ -83,6 +90,19 @@ class TestRealize:
         assert result.method == "obstructed"
         assert "(0, 1, 2)" in result.detail
         assert forced_good_triples(OBSTRUCTED) == [(0, 1, 2)]
+
+    def test_generic_point_failure_is_reported(self, monkeypatch):
+        # the package re-exports realize(), which shadows the submodule name
+        realize_module = importlib.import_module("qpoints.realize")
+
+        def no_point(closed, supply=None):
+            raise realize_module.GenericPointError("component group too large")
+
+        monkeypatch.setattr(realize_module, "generic_point_of_node", no_point)
+        result = realize(p3_two_planes_collection())
+        assert not result.success and result.matrix is None
+        assert result.method == "generic-point"
+        assert "component group too large" in result.detail
 
     def test_obstructed_class_is_adequate_and_dense(self):
         from qpoints.adequacy import is_adequate
@@ -119,42 +139,13 @@ class TestRealizeAll:
             r.target for r in parallel.results
         ]
 
-
-class TestSolveGroupSystem:
-    def test_simple_solvable(self):
-        supply = NameSupply("f")
-        images = solve_group_system(
-            [[1, -1]], [parse_scalar("t1*t2^-1")], ["s0", "s1"], supply
-        )
-        lhs = images["s0"] * images["s1"].inverse()
-        assert lhs == parse_scalar("t1*t2^-1")
-
-    def test_kernel_gets_fresh_generators(self):
-        supply = NameSupply("f")
-        images = solve_group_system(
-            [[1, -1]], [parse_scalar("t1")], ["s0", "s1"], supply
-        )
-        assert not images["s1"].is_one  # kernel direction stays generic
-
-    def test_unsolvable_divisibility(self):
-        with pytest.raises(GroupSolveError):
-            solve_group_system([[2]], [parse_scalar("t1")], ["s0"], NameSupply())
-
-    def test_torsion_divisibility(self):
-        w = GroupScalar.root_of_unity(2)
-        with pytest.raises(GroupSolveError):
-            solve_group_system([[2]], [w], ["s0"], NameSupply())
-        images = solve_group_system([[3]], [w], ["s0"], NameSupply())
-        assert images["s0"] ** 3 == w
-
-    def test_inconsistent_rows(self):
-        with pytest.raises(GroupSolveError):
-            solve_group_system(
-                [[1, -1], [1, -1]],
-                [parse_scalar("t1"), parse_scalar("t2")],
-                ["s0", "s1"],
-                NameSupply(),
-            )
+    def test_worker_count_is_clamped(self):
+        cpus = os.cpu_count() or 1
+        assert _worker_count(1, 175) == 1
+        assert _worker_count(10**6, 175) == min(cpus, 175)
+        assert _worker_count(10**6, 2) == min(cpus, 2)
+        assert _worker_count(0, 175) == 1
+        assert _worker_count(4, 0) == 1
 
 
 class TestGenericPoint:
