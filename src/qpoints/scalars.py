@@ -229,6 +229,9 @@ class QMatrix:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ScalarError("dimension index must be >= 0")
+        # Counting first keeps a huge n from building its pair set.
+        if len(self.upper) != self.n * (self.n + 1) // 2:
+            raise ScalarError("upper triangle must hold exactly the pairs i < j")
         expected = {(i, j) for i in range(self.n + 1) for j in range(i + 1, self.n + 1)}
         if set(self.upper) != expected:
             raise ScalarError("upper triangle must hold exactly the pairs i < j")
@@ -346,8 +349,10 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
         modulus = int(data.get("torsion_modulus", 2))
         names = tuple(str(g) for g in data.get("generators", ()))
         raw_upper = data["upper"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"bad matrix JSON: {exc}") from exc
+    if not isinstance(raw_upper, Mapping):
+        raise MatrixFormatError("upper must be an object of pair keys")
     upper: dict[tuple[int, int], GroupScalar] = {}
     for key, value in raw_upper.items():
         try:
@@ -364,7 +369,7 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
                     int(value.get("torsion", 0)),
                     modulus,
                 )
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise MatrixFormatError(f"bad scalar for pair {key!r}: {exc}") from exc
     table = GeneratorTable(names, modulus) if names else None
     return QMatrix(n, upper, table)

@@ -3,17 +3,18 @@
 The reduced point variety of such an algebra is a union of coordinate
 subspaces of projective n-space, fully determined by which coordinate planes
 (triples) it contains.  This module computes that triple set from the
-defining matrix, assembles the irreducible components (maximal flats) and
+defining matrix, enumerates the irreducible components (maximal flats) and
 type vector, extracts the cubic monomial generators of the defining ideal,
 and cross-checks the two descriptions against each other.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .scalars import QMatrix
 from .triples import Triple, TripleSet, all_triples
@@ -81,58 +82,63 @@ def is_rank_one(Q: QMatrix, S: Flat) -> bool:
     return True
 
 
-def _flat_table(good: TripleSet) -> list[bool]:
-    """flat[mask] == True iff every triple inside mask is good."""
-    n = good.n
-    size = n + 1
-    member = good.triples
-    flat = [True] * (1 << size)
-    for mask in range(1 << size):
-        if mask.bit_count() < 3:
-            continue
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        if not flat[rest]:
-            flat[mask] = False
-            continue
-        bits = [i for i in range(top) if rest >> i & 1]
-        ok = True
-        for x in range(len(bits)):
-            for y in range(x + 1, len(bits)):
-                if (bits[x], bits[y], top) not in member:
-                    ok = False
-                    break
-            if not ok:
-                break
-        flat[mask] = ok
-    return flat
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def components(good: TripleSet) -> Configuration:
     """Maximal flats of a good-triple set, with the type vector.
 
     A subset S of {0..n} is a flat when all triples inside S are good; the
-    components are the maximal flats.  Pairs are always flats, so the
-    1-skeleton of coordinate lines is always covered and no component is a
-    single point.
+    components are the maximal flats.  Pairs are always flats, so for n >= 1
+    the 1-skeleton of coordinate lines is always covered and no component is
+    a single point; at n = 0 the only component is the point (0,).
+
+    Flats are grown depth first over bitmasks, as in Bron-Kerbosch without
+    a pivot: R is the current flat, P the points still to try that extend
+    it, X the points already tried, and R is maximal when both are empty.
+    The work follows the number of components, not the 2^(n+1) subsets.
+    The graph pivot rule fails here (a point can extend R + a and R + b but
+    not R + a + b), and any triple set is accepted, so the cocycle identity
+    of matrix good sets is not assumed.
     """
     n = good.n
-    size = n + 1
-    flat = _flat_table(good)
+    # link[a][b]: a, b and every c for which the triple on {a, b, c} is good.
+    link = [[(1 << a) | (1 << b) for b in range(n + 1)] for a in range(n + 1)]
+    for t in good.triples:
+        for a, b, c in itertools.permutations(t):
+            link[a][b] |= 1 << c
     maximal: list[Flat] = []
-    for mask in range(1 << size):
-        if mask.bit_count() < 2 or not flat[mask]:
-            continue
-        if any(
-            not mask >> v & 1 and flat[mask | (1 << v)] for v in range(size)
-        ):
-            continue
-        maximal.append(tuple(i for i in range(size) if mask >> i & 1))
+
+    def grow(R: int, P: int, X: int, ext: dict[int, int]) -> None:
+        # ext[v], for v in P | X: R, v and every p that makes each triple on
+        # {r, v, p}, r in R, good.  Every flat below this call lies inside
+        # F = R | P.  Triples of F with at most one point in P hold already.
+        # If F is a flat it is the only one left, maximal unless an x in X
+        # extends it.
+        F, cand = R | P, list(_bits(P))
+        if all(F & ~link[a][b] == 0 for i, a in enumerate(cand) for b in cand[i + 1:]):
+            if not any(
+                all(F & ~link[a][x] == 0 for a in _bits(F)) for x in _bits(X)
+            ):
+                maximal.append(tuple(_bits(F)))
+            return
+        for v in cand:
+            P_v, X_v = P & ext[v] & ~(1 << v), X & ext[v]
+            if P_v:
+                ext_v = {w: ext[w] & link[v][w] for w in _bits(P_v | X_v)}
+                grow(R | 1 << v, P_v, X_v, ext_v)
+            elif not X_v:
+                maximal.append(tuple(_bits(R | 1 << v)))
+            P, X = P & ~(1 << v), X | 1 << v
+
+    grow(0, (1 << (n + 1)) - 1, 0, dict.fromkeys(range(n + 1), -1))
     maximal.sort()
-    counts = [0] * (n + 1)
-    for comp in maximal:
-        counts[len(comp) - 1] += 1
-    type_vector = tuple(counts[d] for d in range(n, 0, -1))
+    sizes = Counter(len(c) for c in maximal)
+    type_vector = tuple(sizes[d + 1] for d in range(n, 0, -1))
     return Configuration(n, tuple(maximal), type_vector)
 
 
@@ -140,13 +146,6 @@ def ideal_generators(good: TripleSet) -> list[Triple]:
     """Triples indexing the cubic monomials u_i u_j u_k that cut out the
     point variety: the complement of the good set."""
     return list(good.complement())
-
-
-def skeleton_weight(config: Configuration) -> int:
-    """Total number of coordinate-line slots the components offer; at least
-    the number of coordinate lines, with equality iff components pairwise
-    meet in at most a point."""
-    return sum(comb(len(c), 2) for c in config.components)
 
 
 def monomial_variety_check(good: TripleSet, samples: int = 50, seed: int = 0) -> bool:

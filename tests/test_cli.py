@@ -1,6 +1,9 @@
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qpoints.cli import main
 from qpoints.gallery import (
@@ -66,6 +69,109 @@ class TestPts:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
         assert main(["pts", str(path)]) == 3
+
+    def test_single_point_is_p0(self, tmp_path, capsys):
+        path = tmp_path / "p0.json"
+        path.write_text(json.dumps({"n": 0, "upper": {}}))
+        assert main(["pts", str(path)]) == 0
+        assert "point variety = P^0" in capsys.readouterr().out
+
+    def test_huge_n_fails_fast_with_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1000000000, "upper": {}}))
+        assert main(["pts", str(path)]) == 3
+
+    def test_non_object_upper_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({"n": 2, "upper": []}))
+        assert main(["pts", str(path)]) == 2
+        assert "upper" in capsys.readouterr().err
+
+    def test_rank_one_25_variables_is_one_component(self, tmp_path, capsys):
+        # q_ij = a_i^-1 * a_j makes every triple good, so the point variety
+        # is all of P^24: far too many subsets (2^25) to visit one by one.
+        n = 24
+        upper = {
+            f"{i},{j}": f"a{i}^-1*a{j}" for i in range(n + 1) for j in range(i + 1, n + 1)
+        }
+        path = tmp_path / "rank_one.json"
+        path.write_text(json.dumps({"n": n, "upper": upper}))
+        start = time.perf_counter()
+        assert main(["pts", str(path), "--json"]) == 0
+        elapsed = time.perf_counter() - start
+        data = json.loads(capsys.readouterr().out)
+        assert data["components"] == [list(range(n + 1))]
+        assert data["type"] == [1] + [0] * (n - 1)
+        assert elapsed < 2.0
+
+
+def _json_values():
+    edge_cases = [None, True, False, -1, 0, 1, 2, 10**9, 10**30, 1.5, 1e300]
+    edge_cases += [float("inf"), float("-inf"), float("nan")]
+    edge_cases += ["", "a", "a^-1*w", "b^2", "w^3", "a^x", "1", "0,1"]
+    scalars = st.sampled_from(edge_cases) | st.integers() | st.floats() | st.text(max_size=8)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["exponents", "torsion", "a", "b", "0,1"]), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+_PAIR_KEYS = st.one_of(
+    st.sampled_from(["0,1", "2,3", "3,4", "1,0", "0,0", "0,9", "-1,2", "0,1,2", "a,b", " 0, 1", ""]),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def _mutated_matrix(draw):
+    """A valid matrix JSON object with one to three structural mutations."""
+    base = p3_two_planes_matrix().to_json_dict() if draw(st.booleans()) else {
+        "n": 2,
+        "torsion_modulus": 3,
+        "generators": ["a", "b"],
+        "upper": {"0,1": "a", "0,2": "b*w", "1,2": "a^-1*b"},
+    }
+    data = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["set", "drop", "n", "add_pair", "drop_pair", "set_pair", "set_field"]))
+        upper = data.get("upper")
+        if kind == "set":
+            data[draw(st.sampled_from(["n", "upper", "torsion_modulus", "generators"]))] = draw(_json_values())
+        elif kind == "drop":
+            data.pop(draw(st.sampled_from(["n", "upper", "torsion_modulus", "generators"])), None)
+        elif kind == "n":
+            data["n"] = draw(st.sampled_from([-5, -1, 0, 1, 4, 25, 10**6, 10**9, 10**18]) | st.integers())
+        elif isinstance(upper, dict) and kind == "add_pair":
+            upper[draw(_PAIR_KEYS)] = draw(_json_values() | st.sampled_from(["a", "1"]))
+        elif isinstance(upper, dict) and upper and kind == "drop_pair":
+            upper.pop(draw(st.sampled_from(sorted(upper))))
+        elif isinstance(upper, dict) and upper and kind == "set_pair":
+            upper[draw(st.sampled_from(sorted(upper)))] = draw(_json_values())
+        elif isinstance(upper, dict) and upper and kind == "set_field":
+            entry = upper[draw(st.sampled_from(sorted(upper)))]
+            if isinstance(entry, dict):
+                entry[draw(st.sampled_from(["exponents", "torsion"]))] = draw(_json_values())
+    return data
+
+
+class TestPtsFuzz:
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=_mutated_matrix(), as_json=st.booleans())
+    @example(data={"n": float("inf"), "upper": {}}, as_json=False)
+    @example(data={"n": 1, "upper": {"0,1": {"torsion": float("inf")}}}, as_json=True)
+    @example(data={"n": 1, "upper": {"0,1": {"exponents": {"a": float("-inf")}}}}, as_json=True)
+    def test_loader_exits_cleanly(self, tmp_path, data, as_json):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        code = main(["pts", str(path)] + (["--json"] if as_json else []))
+        assert code in (0, 2, 3)
 
 
 class TestEnumerate:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 from conftest import random_qmatrix, random_structured_qmatrix
@@ -11,15 +12,45 @@ from qpoints.gallery import (
     sign_matrix,
     transversal_collection,
 )
-from qpoints.triples import TripleSet
+from qpoints.triples import TripleSet, all_triples
 from qpoints.variety import (
     components,
     good_triples,
     ideal_generators,
     is_rank_one,
     monomial_variety_check,
-    skeleton_weight,
 )
+
+
+def brute_force_components(good: TripleSet):
+    """Oracle for components(): fill a table over all 2^(n+1) subsets, then
+    keep the flats that no single point extends."""
+    size = good.n + 1
+    flat = [True] * (1 << size)
+    for mask in range(1 << size):
+        if mask.bit_count() < 3:
+            continue
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        bits = [i for i in range(top) if rest >> i & 1]
+        flat[mask] = flat[rest] and all(
+            (a, b, top) in good.triples for a, b in itertools.combinations(bits, 2)
+        )
+    maximal = sorted(
+        tuple(i for i in range(size) if mask >> i & 1)
+        for mask in range(1, 1 << size)
+        if flat[mask]
+        and not any(not mask >> v & 1 and flat[mask | 1 << v] for v in range(size))
+    )
+    counts = [sum(len(c) == d + 1 for c in maximal) for d in range(good.n, 0, -1)]
+    return tuple(maximal), tuple(counts)
+
+
+def skeleton_weight(config) -> int:
+    """Total number of coordinate-line slots the components offer; at least
+    the number of coordinate lines, with equality iff components pairwise
+    meet in at most a point."""
+    return sum(comb(len(c), 2) for c in config.components)
 
 
 class TestGoodTriples:
@@ -87,6 +118,27 @@ class TestComponents:
         config = components(TripleSet.full(4))
         assert config.is_whole_space()
         assert config.type_vector == (1, 0, 0, 0)
+
+    def test_single_point(self):
+        config = components(TripleSet.empty(0))
+        assert config.components == ((0,),)
+        assert config.is_whole_space()
+
+    def test_matches_brute_force_on_random_triple_sets(self):
+        rng = random.Random(20261018)
+        for n in range(1, 10):
+            trips = all_triples(n)
+            for _ in range(40 if n < 8 else 8):
+                density = rng.random()
+                good = TripleSet.of(n, [t for t in trips if rng.random() < density])
+                config = components(good)
+                assert (config.components, config.type_vector) == brute_force_components(good)
+
+    def test_matches_brute_force_on_structured_matrices(self, rng):
+        for _ in range(25):
+            good = good_triples(random_structured_qmatrix(rng, rng.randint(1, 7)))
+            config = components(good)
+            assert (config.components, config.type_vector) == brute_force_components(good)
 
     def test_component_invariants(self, rng):
         for _ in range(15):
