@@ -52,9 +52,7 @@ from .scalars import (
     GroupScalar,
     NameSupply,
     QMatrix,
-    b_scalar,
     parse_scalar,
-    q_entry,
     qmatrix_from_json,
 )
 from .triples import Triple, TripleSet, all_triples
@@ -85,7 +83,6 @@ __all__ = [
     "Triple",
     "TripleSet",
     "all_triples",
-    "b_scalar",
     "build_graph",
     "canonical_form",
     "closure",
@@ -104,7 +101,6 @@ __all__ = [
     "node_label",
     "non_dense_adequate",
     "parse_scalar",
-    "q_entry",
     "qmatrix_from_json",
     "quartet_saturate",
     "realize",

@@ -21,7 +21,6 @@ from .triples import (
     TripleSet,
     all_triples,
     num_triples,
-    permutations,
     triple_index,
     _perm_mask_tables,
 )
@@ -172,8 +171,3 @@ def non_dense_adequate(n: int) -> list[Collection]:
         for rep in catalog.representatives
         if len(rep) > 0 and not is_dense(rep)
     ]
-
-
-def orbit_of(C: Collection) -> set[Collection]:
-    """Full orbit of a collection under coordinate permutations."""
-    return {C.apply(p) for p in permutations(C.n)}

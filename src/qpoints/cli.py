@@ -67,16 +67,27 @@ def _load_matrix(path: str):
     return qmatrix_from_json(Path(path).read_text())
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MatrixFormatError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _load_collection(path: str) -> TripleSet:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
         raise MatrixFormatError("collection JSON must have keys n and triples")
+    if not isinstance(data["triples"], list):
+        raise MatrixFormatError("triples must be a list of index triples")
     triples = []
     for entry in data["triples"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise MatrixFormatError(f"triple must have three indices: {entry!r}")
-        triples.append(tuple(sorted(int(v) for v in entry)))
-    return TripleSet.of(int(data["n"]), triples)
+        triples.append(tuple(sorted(_json_int(v) for v in entry)))
+    n = _json_int(data["n"])
+    if n < 0:
+        raise ValueError("dimension index must be >= 0")
+    return TripleSet.of(n, triples)
 
 
 def _fmt_triple(t) -> str:
@@ -228,7 +239,8 @@ def cmd_forced(args) -> int:
             i, j = chunk.split(",")
             pins.append((int(i), int(j)))
     else:
-        pins = [(i, good.n) for i in range(good.n)]
+        # lazy, so forced_solutions rejects a huge n before the pins exist
+        pins = ((i, good.n) for i in range(good.n))
     family = forced_solutions(good, pins)
     print(f"solution set: {family.describe()}")
     if family.is_finite:

@@ -6,7 +6,10 @@ closure.  Nodes of the degeneration graph are the closed triple sets up to
 coordinate symmetry, each carrying the dimension label of its sub-torus and
 the type vector of the point variety it produces; arrows record strict
 inclusion of closed sets (larger closed set = smaller torus = bigger point
-variety), transitively reduced.
+variety), transitively reduced.  One traversal of the closure lattice builds
+both: adjoining one triple to a class representative and closing gives the
+next classes, and the transitive reduction of these one-step inclusions is
+the arrow set.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .lattice import (
     SubLattice,
@@ -34,8 +35,6 @@ from .triples import (
     all_triples,
     canonical_mask,
     canonical_mask_orbit,
-    mask_images,
-    num_triples,
 )
 from .variety import components
 
@@ -109,94 +108,64 @@ def _node_from_closed(closed: TripleSet, lat: SubLattice) -> DegNode:
     )
 
 
-def _closed_reps_scan(n: int) -> list[DegNode]:
-    """All closed triple sets by full subset scan, grouped into orbits."""
-    nt = num_triples(n)
-    trips = all_triples(n)
-    chars = [triple_char(t, n) for t in trips]
-    by_canon: dict[int, tuple[TripleSet, SubLattice, int]] = {}
-    for mask in range(1 << nt):
-        J = TripleSet.from_mask(n, mask)
-        lat = SubLattice.span((chars[i] for i in range(nt) if mask >> i & 1), num_pairs(n))
-        if any(
-            not mask >> i & 1 and lat.contains(chars[i]) for i in range(nt)
-        ):
-            continue  # not closed
-        cm = canonical_mask(n, mask)
-        if cm in by_canon:
-            rep, rlat, count = by_canon[cm]
-            by_canon[cm] = (rep, rlat, count + 1)
-        else:
-            by_canon[cm] = (J, lat, 1)
-    nodes = []
-    for cm, (J, lat, count) in by_canon.items():
-        node = _node_from_closed(J, lat)
-        if node.orbit_size != count:
-            raise RuntimeError(
-                f"orbit of {J} has {node.orbit_size} images but the scan met {count}"
-            )
-        nodes.append(node)
-    return nodes
+def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
+    """Closed-set classes and one-step inclusions by closure-lattice
+    traversal with symmetry pruning.
 
-
-def _closed_reps_bfs(n: int) -> list[DegNode]:
-    """Closed-set classes by closure-lattice traversal with symmetry pruning.
-
-    Starting from the empty (closed) set, repeatedly adjoin one triple and
-    close; every closed class is reached this way because dropping one
-    element of a minimal generating set yields a smaller closed set.
+    Starting from the empty (closed) set, adjoin one triple t to a class
+    representative K and close: L = closure(K + t).  Every closed class is
+    reached this way because dropping one element of a minimal generating
+    set yields a smaller closed set.  Each step records the canonical masks
+    (K, L).  These pairs hold every cover: if L covers K, then
+    L = closure(K + t) for any t in L but not in K.  They may hold
+    non-covers too.
     """
     P = num_pairs(n)
     trips = all_triples(n)
     chars = [triple_char(t, n) for t in trips]
     empty = TripleSet.empty(n)
     nodes = [_node_from_closed(empty, SubLattice(P))]
+    canonical = {empty.mask: empty.mask}  # raw closed mask -> canonical mask
     seen_canonical = {empty.mask}
-    seen_raw = {empty.mask}
-    frontier: list[tuple[TripleSet, SubLattice]] = [(empty, SubLattice(P))]
+    steps: set[tuple[int, int]] = set()
+    frontier: list[tuple[TripleSet, SubLattice, int]] = [(empty, SubLattice(P), empty.mask)]
     while frontier:
-        next_frontier: list[tuple[TripleSet, SubLattice]] = []
-        for rep, lat in frontier:
+        next_frontier: list[tuple[TripleSet, SubLattice, int]] = []
+        for K, lat, k_cm in frontier:
             for ti, t in enumerate(trips):
-                if t in rep.triples:
+                if t in K.triples:
                     continue
                 lat2 = lat.copy()
                 lat2.add(chars[ti])
-                members = set(rep.triples)
+                members = set(K.triples)
                 members.add(t)
                 for tj, s in enumerate(trips):
                     if s not in members and lat2.contains(chars[tj]):
                         members.add(s)
-                K = TripleSet(n, frozenset(members))
-                km = K.mask
-                if km in seen_raw:
-                    continue
-                seen_raw.add(km)
-                cm = canonical_mask(n, km)
-                if cm in seen_canonical:
-                    continue
-                seen_canonical.add(cm)
-                nodes.append(_node_from_closed(K, lat2))
-                next_frontier.append((K, lat2))
+                L = TripleSet(n, frozenset(members))
+                lm = L.mask
+                cm = canonical.get(lm)
+                if cm is None:
+                    cm = canonical[lm] = canonical_mask(n, lm)
+                    if cm not in seen_canonical:
+                        seen_canonical.add(cm)
+                        nodes.append(_node_from_closed(L, lat2))
+                        next_frontier.append((L, lat2, cm))
+                steps.add((k_cm, cm))
         frontier = next_frontier
-    return nodes
+    return nodes, steps
 
 
 @lru_cache(maxsize=None)
-def _nodes_cached(n: int, method: str) -> tuple[DegNode, ...]:
-    if method == "scan":
-        nodes = _closed_reps_scan(n)
-    elif method == "bfs":
-        nodes = _closed_reps_bfs(n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def _nodes_cached(n: int) -> tuple[tuple[DegNode, ...], frozenset[tuple[int, int]]]:
+    """Sorted nodes, and the traversal's one-step inclusions as index pairs."""
+    nodes, steps = _closed_reps_bfs(n)
     nodes.sort(key=lambda node: (node.label, node.closed_set.mask))
-    return tuple(nodes)
+    index = {node.closed_set.mask: i for i, node in enumerate(nodes)}
+    return tuple(nodes), frozenset((index[a], index[b]) for a, b in steps)
 
 
-def enumerate_nodes(
-    n: int, long: bool = False, method: str = "auto"
-) -> tuple[DegNode, ...]:
+def enumerate_nodes(n: int, long: bool = False) -> tuple[DegNode, ...]:
     """All degeneration-graph nodes of dimension n, sorted by (label,
     canonical closed set).  n = 5 takes a fraction of a second but must
     still be requested with long=True."""
@@ -204,48 +173,41 @@ def enumerate_nodes(
         raise BudgetError("node enumeration supported for n <= 5")
     if n == 5 and not long:
         raise BudgetError("n = 5 node enumeration requires the long flag")
-    if method == "auto":
-        method = "scan" if n <= 4 else "bfs"
-    return _nodes_cached(n, method)
-
-
-def _strict_inclusion_classes(nodes: Sequence[DegNode]) -> set[tuple[int, int]]:
-    """Pairs (u, v) where some permuted image of node u's closed set is a
-    strict subset of node v's."""
-    if not nodes:
-        return set()
-    n = nodes[0].n
-    masks = [node.closed_set.mask for node in nodes]
-    sizes = [len(node.closed_set) for node in nodes]
-    rel = set()
-    for u in range(len(nodes)):
-        images = np.unique(mask_images(n, masks[u]))
-        for v in range(len(nodes)):
-            if sizes[u] >= sizes[v]:
-                continue
-            if bool(np.any((images & masks[v]) == images)):
-                rel.add((u, v))
-    return rel
+    return _nodes_cached(n)[0]
 
 
 def transitive_reduction(
-    count: int, relation: set[tuple[int, int]]
+    sizes: Sequence[int], relation: Iterable[tuple[int, int]]
 ) -> set[tuple[int, int]]:
-    """Minimal arrow set with the same reachability; assumes the input
-    relation is transitive (inclusion always is)."""
-    return {
-        (u, v)
-        for (u, v) in relation
-        if not any((u, w) in relation and (w, v) in relation for w in range(count))
-    }
+    """Pairs (u, v) of relation with no other path from u to v.
+
+    Every pair must go from a smaller to a larger size, so the relation is
+    acyclic; it need not be transitive.  Reachability bitsets are filled in
+    order of decreasing size.
+    """
+    succ: list[list[int]] = [[] for _ in sizes]
+    for u, v in relation:
+        succ[u].append(v)
+    reach = [0] * len(sizes)
+    arrows = set()
+    for u in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        beyond = 0
+        for v in succ[u]:
+            beyond |= reach[v]
+        arrows.update((u, v) for v in succ[u] if not beyond >> v & 1)
+        for v in succ[u]:
+            beyond |= 1 << v
+        reach[u] = beyond
+    return arrows
 
 
-def build_graph(n: int, long: bool = False, method: str = "auto") -> DegGraph:
-    """Degeneration graph: closed-set classes with transitively reduced
-    strict-inclusion arrows."""
-    nodes = enumerate_nodes(n, long=long, method=method)
-    rel = _strict_inclusion_classes(nodes)
-    arrows = sorted(transitive_reduction(len(nodes), rel))
+def build_graph(n: int, long: bool = False) -> DegGraph:
+    """Degeneration graph: closed-set classes with arrows for the covers of
+    strict inclusion up to symmetry, read off the traversal's one-step
+    inclusions."""
+    nodes = enumerate_nodes(n, long=long)
+    sizes = [len(node.closed_set) for node in nodes]
+    arrows = sorted(transitive_reduction(sizes, _nodes_cached(n)[1]))
     return DegGraph(n, nodes, tuple(arrows))
 
 
@@ -325,6 +287,10 @@ def forced_solutions(
     they force.
     """
     n = G.n
+    # The system has n(n+1)/2 unknowns, so an empty good set in a huge n
+    # would exhaust memory; n = 50 still solves in well under a second.
+    if n > 50:
+        raise ValueError("forced solutions supported for n <= 50")
     P = num_pairs(n)
     idx = {p: i for i, p in enumerate(pair_list(n))}
     norm: list[tuple[int, int]] = []

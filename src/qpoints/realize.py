@@ -77,10 +77,10 @@ def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResul
     (generic_point_of_node) is the matrix, exactly verified there; a closed
     set without a generic point is reported with the reason.
     """
-    if not is_adequate(C):
-        raise NotAdequateError(f"collection is not adequate: {C}")
     if C.n > 5:
         raise RealizationError("realization supported for n <= 5 only")
+    if not is_adequate(C):
+        raise NotAdequateError(f"collection is not adequate: {C}")
     forced = forced_good_triples(C)
     if forced:
         return RealizationResult(

@@ -383,17 +383,3 @@ def qmatrix_from_json(text: str) -> QMatrix:
     if not isinstance(data, dict):
         raise MatrixFormatError("matrix JSON must be an object")
     return qmatrix_from_json_dict(data)
-
-
-def q_entry(Q: QMatrix, i: int, j: int) -> GroupScalar:
-    return Q.entry(i, j)
-
-
-def b_scalar(Q: QMatrix, t: Triple) -> GroupScalar:
-    return Q.b(t)
-
-
-def rational_b(matrix: list[list[Fraction]], t: Triple) -> Fraction:
-    """b-value of an instantiated rational matrix (numeric oracle)."""
-    i, j, k = t
-    return matrix[i][j] * matrix[j][k] / matrix[i][k]

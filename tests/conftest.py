@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qpoints.realize import generic_point_of_node
 from qpoints.lattice import closure
 from qpoints.scalars import GroupScalar, NameSupply, QMatrix
-from qpoints.triples import TripleSet, all_triples
+from qpoints.triples import Triple, TripleSet, all_triples
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131]
@@ -35,6 +36,12 @@ def random_structured_qmatrix(rng: random.Random, n: int) -> QMatrix:
     k = rng.randint(0, min(4, len(trips)))
     J = TripleSet.of(n, rng.sample(trips, k))
     return generic_point_of_node(closure(J), NameSupply("s"))
+
+
+def rational_b(matrix: list[list[Fraction]], t: Triple) -> Fraction:
+    """b-value of an instantiated rational matrix (numeric oracle)."""
+    i, j, k = t
+    return matrix[i][j] * matrix[j][k] / matrix[i][k]
 
 
 def prime_assignment(Q: QMatrix) -> dict[str, int]:

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from conftest import prime_assignment, random_qmatrix, random_structured_qmatrix
+from conftest import prime_assignment, random_qmatrix, random_structured_qmatrix, rational_b
 from test_degeneration import P4_TYPES, check_graph_matches_reference, label_of
 from test_realize import OBSTRUCTED
 
@@ -34,7 +34,6 @@ from qpoints.gallery import (
     transversal_collection,
 )
 from qpoints.lattice import closure, kernel_rank, num_pairs, quartet_saturate
-from qpoints.scalars import rational_b
 from qpoints.triples import TripleSet, all_triples
 from qpoints.variety import (
     good_triples,

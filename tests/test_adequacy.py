@@ -14,11 +14,15 @@ from qpoints.adequacy import (
     is_adequate,
     is_dense,
     non_dense_adequate,
-    orbit_of,
 )
 from qpoints.gallery import pentagonal_collection, transversal_collection
 from qpoints.triples import TripleSet, all_triples, permutations
 from qpoints.variety import good_triples
+
+
+def orbit_of(C):
+    """Full orbit of a collection under coordinate permutations."""
+    return {C.apply(p) for p in permutations(C.n)}
 
 
 def collections(n, max_size=6):

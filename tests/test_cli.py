@@ -174,6 +174,51 @@ class TestPtsFuzz:
         assert code in (0, 2, 3)
 
 
+@st.composite
+def _mutated_collection(draw):
+    """A valid collection JSON object with one to three structural mutations."""
+    base = p3_two_planes_collection() if draw(st.booleans()) else pentagonal_good_set()
+    data = {"n": base.n, "triples": [list(t) for t in base]}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["set", "drop", "n", "add", "drop_triple", "set_triple", "set_index"]))
+        triples = data.get("triples")
+        if kind == "set":
+            data[draw(st.sampled_from(["n", "triples"]))] = draw(_json_values())
+        elif kind == "drop":
+            data.pop(draw(st.sampled_from(["n", "triples"])), None)
+        elif kind == "n":
+            data["n"] = draw(st.sampled_from([-5, -1, 0, 1, 2, 4, 25, 10**6, 10**9, 10**18]) | st.integers())
+        elif isinstance(triples, list) and kind == "add":
+            triples.append(draw(st.lists(st.integers(-2, 7), min_size=3, max_size=3) | _json_values()))
+        elif isinstance(triples, list) and triples and kind == "drop_triple":
+            triples.pop(draw(st.integers(0, len(triples) - 1)))
+        elif isinstance(triples, list) and triples and kind == "set_triple":
+            triples[draw(st.integers(0, len(triples) - 1))] = draw(_json_values())
+        elif isinstance(triples, list) and triples and kind == "set_index":
+            entry = triples[draw(st.integers(0, len(triples) - 1))]
+            if isinstance(entry, list) and entry:
+                entry[draw(st.integers(0, len(entry) - 1))] = draw(_json_values())
+    return data
+
+
+class TestCollectionFuzz:
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=_mutated_collection(), command=st.sampled_from(["realize", "forced"]))
+    @example(data={"n": 3, "triples": [[0, 1, float("inf")]]}, command="realize")
+    @example(data={"n": 3, "triples": [[0, 1, float("inf")]]}, command="forced")
+    @example(data={"n": 3, "triples": 5}, command="realize")
+    @example(data={"n": 3, "triples": 5}, command="forced")
+    def test_loader_exits_cleanly(self, tmp_path, data, command):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) in (0, 2, 3, 4, 5)
+
+
 class TestEnumerate:
     def test_adequate_summary(self, capsys):
         assert main(["enumerate", "3", "--adequate"]) == 0
@@ -264,6 +309,14 @@ class TestRealize:
             if line not in failed:
                 assert line.endswith(" (generic-point)"), line
 
+    def test_huge_n_fails_fast_with_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1000000000, "triples": []}))
+        start = time.perf_counter()
+        assert main(["realize", str(path)]) == 4
+        assert time.perf_counter() - start < 2.0
+        assert "n <= 5" in capsys.readouterr().err
+
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit):
             main(["realize"])
@@ -281,6 +334,14 @@ class TestSinksAndForced:
         assert "solution set: Z/2" in out
         assert "solution 0: all q = 1" in out
         assert "q[0,1]=w" in out
+
+    @pytest.mark.parametrize("n", [-1, 1000000000])
+    def test_forced_out_of_range_n_exits_3(self, tmp_path, capsys, n):
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps({"n": n, "triples": []}))
+        start = time.perf_counter()
+        assert main(["forced", str(path)]) == 3
+        assert time.perf_counter() - start < 2.0
 
     def test_forced_explicit_pins(self, tmp_path, capsys):
         path = write_collection(tmp_path, pentagonal_good_set(), "good.json")

@@ -1,9 +1,12 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qpoints.degeneration import (
     BudgetError,
+    DegNode,
+    _node_from_closed,
     build_graph,
     enumerate_nodes,
     forced_solutions,
@@ -13,10 +16,10 @@ from qpoints.degeneration import (
     to_dot,
 )
 from qpoints.gallery import pentagonal_good_set, sign_matrix
-from qpoints.lattice import closure
+from qpoints.lattice import SubLattice, closure, num_pairs, triple_char
 from qpoints.realize import generic_point_of_node
 from qpoints.scalars import NameSupply
-from qpoints.triples import TripleSet
+from qpoints.triples import TripleSet, all_triples, canonical_mask, mask_images, num_triples
 from qpoints.variety import good_triples
 
 # Reference classification of the five-variable degeneration graph:
@@ -40,6 +43,54 @@ P4_EDGES = [
     ("2d", "1c"), ("2d", "1b"), ("2d", "1a"),
     ("1c", "0"), ("1b", "0"), ("1a", "0"),
 ]
+
+
+def scan_closed_reps(n: int) -> list[DegNode]:
+    """All closed triple sets by full subset scan, grouped into orbits: the
+    reference enumerator for the closure-lattice traversal."""
+    nt = num_triples(n)
+    chars = [triple_char(t, n) for t in all_triples(n)]
+    by_canon: dict[int, tuple[TripleSet, SubLattice, int]] = {}
+    for mask in range(1 << nt):
+        lat = SubLattice.span((chars[i] for i in range(nt) if mask >> i & 1), num_pairs(n))
+        if any(not mask >> i & 1 and lat.contains(chars[i]) for i in range(nt)):
+            continue  # not closed
+        cm = canonical_mask(n, mask)
+        if cm in by_canon:
+            rep, rlat, count = by_canon[cm]
+            by_canon[cm] = (rep, rlat, count + 1)
+        else:
+            by_canon[cm] = (TripleSet.from_mask(n, mask), lat, 1)
+    nodes = []
+    for J, lat, count in by_canon.values():
+        node = _node_from_closed(J, lat)
+        if node.orbit_size != count:
+            raise RuntimeError(
+                f"orbit of {J} has {node.orbit_size} images but the scan met {count}"
+            )
+        nodes.append(node)
+    nodes.sort(key=lambda node: (node.label, node.closed_set.mask))
+    return nodes
+
+
+def all_pairs_arrows(nodes) -> set[tuple[int, int]]:
+    """Reference arrows: test every ordered pair of classes for strict
+    inclusion under all permutations, then drop each pair that factors
+    through a third class (inclusion is transitive)."""
+    n = nodes[0].n
+    masks = [node.closed_set.mask for node in nodes]
+    sizes = [len(node.closed_set) for node in nodes]
+    rel = set()
+    for u in range(len(nodes)):
+        images = np.unique(mask_images(n, masks[u]))
+        for v in range(len(nodes)):
+            if sizes[u] < sizes[v] and bool(np.any((images & masks[v]) == images)):
+                rel.add((u, v))
+    return {
+        (u, v)
+        for (u, v) in rel
+        if not any((u, w) in rel and (w, v) in rel for w in range(len(nodes)))
+    }
 
 
 def label_of(fig_id: str) -> int:
@@ -126,8 +177,8 @@ class TestNodes:
             assert any(len(node.closed_set) == 0 for node in nodes)
 
     def test_enumeration_paths_agree(self):
-        for n in (2, 3, 4):
-            assert enumerate_nodes(n, method="scan") == enumerate_nodes(n, method="bfs")
+        for n in (0, 1, 2, 3, 4):
+            assert enumerate_nodes(n) == tuple(scan_closed_reps(n))
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
@@ -146,7 +197,7 @@ class TestNodes:
 
         monkeypatch.setattr(degeneration, "canonical_mask_orbit", miscounted)
         with pytest.raises(RuntimeError, match="orbit"):
-            degeneration._closed_reps_scan(2)
+            scan_closed_reps(2)
 
     def test_ids_disambiguate(self):
         nodes = enumerate_nodes(4)
@@ -174,6 +225,11 @@ class TestGraph:
         graph = build_graph(4)
         assert len(graph.arrows) == 28
         assert check_graph_matches_reference(graph)
+
+    def test_arrows_match_all_pairs_inclusion(self):
+        for n in (2, 3, 4, 5):
+            graph = build_graph(n, long=True)
+            assert set(graph.arrows) == all_pairs_arrows(graph.nodes)
 
     def test_unique_source_is_generic_node(self):
         for n in (2, 3, 4):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import prime_assignment, random_qmatrix
+from conftest import prime_assignment, random_qmatrix, rational_b
 from qpoints.gallery import all_ones_matrix, p3_two_planes_matrix, sign_matrix
 from qpoints.scalars import (
     GeneratorTable,
@@ -12,13 +12,18 @@ from qpoints.scalars import (
     QMatrix,
     ScalarError,
     TableMismatchError,
-    b_scalar,
     parse_scalar,
-    q_entry,
     qmatrix_from_json,
-    rational_b,
 )
 from qpoints.triples import all_triples
+
+
+def q_entry(Q: QMatrix, i: int, j: int) -> GroupScalar:
+    return Q.entry(i, j)
+
+
+def b_scalar(Q: QMatrix, t) -> GroupScalar:
+    return Q.b(t)
 
 
 def s(text, m=2):
