@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .adequacy import (
     Collection,
     OrbitCatalog,
-    canonical_form,
     enumerate_adequate,
     is_adequate,
     is_dense,
@@ -33,7 +32,6 @@ from .degeneration import (
 from .lattice import (
     SubLattice,
     closure,
-    member,
     node_label,
     quartet_saturate,
     span,
@@ -84,7 +82,6 @@ __all__ = [
     "TripleSet",
     "all_triples",
     "build_graph",
-    "canonical_form",
     "closure",
     "components",
     "enumerate_adequate",
@@ -96,7 +93,6 @@ __all__ = [
     "is_adequate",
     "is_dense",
     "is_rank_one",
-    "member",
     "monomial_variety_check",
     "node_label",
     "non_dense_adequate",

@@ -62,11 +62,6 @@ def is_dense(C: Collection) -> bool:
     return any(c >= n - 2 for c in counts.values())
 
 
-def canonical_form(C: Collection) -> Collection:
-    """Orbit representative of C under all coordinate permutations."""
-    return C.canonical()
-
-
 @dataclass(frozen=True)
 class OrbitCatalog:
     """All adequate collections of one ambient dimension, up to symmetry."""
@@ -148,6 +143,8 @@ def _canonicalize_masks(n: int, masks: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def enumerate_adequate(n: int) -> OrbitCatalog:
     """Catalog of all adequate collections up to coordinate symmetry."""
+    if n < 0:
+        raise ValueError(f"dimension index n must be >= 0, got {n}")
     if n > 5:
         raise ValueError("adequate enumeration supported for n <= 5")
     masks = adequate_masks(n)

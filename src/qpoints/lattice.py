@@ -18,6 +18,11 @@ from math import comb
 from .triples import Triple, TripleSet, all_triples, check_triple
 
 
+#: Largest finite component group, as a product of torsion orders, that is
+#: searched or listed element by element.
+TORSION_SEARCH_LIMIT = 100_000
+
+
 @lru_cache(maxsize=None)
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j) with i < j, lexicographically; the coordinates of
@@ -167,10 +172,6 @@ def span(J: TripleSet) -> SubLattice:
     return SubLattice.span((triple_char(t, n) for t in J), num_pairs(n))
 
 
-def member(v, M: SubLattice) -> bool:
-    return M.contains(v)
-
-
 def closure(J: TripleSet, _lat: SubLattice | None = None) -> TripleSet:
     """Largest triple set cutting out the same sub-torus as J.
 
@@ -206,20 +207,6 @@ def quartet_saturate(J: TripleSet) -> TripleSet:
                 current.add(missing)
                 changed = True
     return TripleSet(n, frozenset(current))
-
-
-def closure_rule_gap(n: int) -> list[TripleSet]:
-    """Triple sets where the four-index rule saturates to less than the full
-    character closure.  Empty for n = 3; any nonempty answer documents that
-    the rule is weaker than span membership for that dimension."""
-    from .triples import num_triples
-
-    gaps = []
-    for mask in range(1 << num_triples(n)):
-        J = TripleSet.from_mask(n, mask)
-        if quartet_saturate(J) != closure(J):
-            gaps.append(J)
-    return gaps
 
 
 def node_label(J: TripleSet, _lat: SubLattice | None = None) -> int:

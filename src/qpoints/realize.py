@@ -21,6 +21,7 @@ from math import lcm
 
 from .adequacy import Collection, enumerate_adequate, is_adequate
 from .lattice import (
+    TORSION_SEARCH_LIMIT,
     closure,
     num_pairs,
     pair_index,
@@ -144,7 +145,7 @@ def realize_all(n: int, threads: int = 1) -> RealizeAllSummary:
 def generic_point_of_node(
     closed: TripleSet,
     supply: NameSupply | None = None,
-    max_torsion_search: int = 100_000,
+    max_torsion_search: int = TORSION_SEARCH_LIMIT,
 ) -> QMatrix:
     """A matrix whose good-triple set is exactly the given closed set.
 

@@ -246,15 +246,6 @@ class QMatrix:
                 raise TableMismatchError("matrix entry not admitted by generator table")
 
     @classmethod
-    def from_upper(
-        cls,
-        n: int,
-        upper: Mapping[tuple[int, int], GroupScalar],
-        table: GeneratorTable | None = None,
-    ) -> "QMatrix":
-        return cls(n, dict(upper), table)
-
-    @classmethod
     def ones(cls, n: int, modulus: int = 2) -> "QMatrix":
         one = GroupScalar.one(modulus)
         upper = {

@@ -3,9 +3,11 @@
 The reduced point variety of such an algebra is a union of coordinate
 subspaces of projective n-space, fully determined by which coordinate planes
 (triples) it contains.  This module computes that triple set from the
-defining matrix, enumerates the irreducible components (maximal flats) and
-type vector, extracts the cubic monomial generators of the defining ideal,
-and cross-checks the two descriptions against each other.
+defining matrix in one exact integer pass over an exponent array (the
+obstruction scalar of a triple is a signed sum of three pair rows),
+enumerates the irreducible components (maximal flats) and type vector,
+extracts the cubic monomial generators of the defining ideal, and
+cross-checks the two descriptions against each other.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
+
+from .lattice import num_pairs, pair_list
 from .scalars import QMatrix
 from .triples import Triple, TripleSet, all_triples
 
@@ -46,15 +52,64 @@ class Configuration:
         return self.components == (tuple(range(self.n + 1)),)
 
 
+#: Entries per array in one numpy step of good_triples; caps its scratch
+#: memory at a few such arrays whatever n and the number of generators.
+_STEP_ENTRIES = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _triple_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair indices (ij, jk, ik) of every triple, in lexicographic order."""
+    pair = np.zeros((n + 1, n + 1), dtype=np.intp)
+    pair[np.triu_indices(n + 1, 1)] = np.arange(num_pairs(n))
+    i, j, k = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3).T
+    return pair[i, j], pair[j, k], pair[i, k]
+
+
 def good_triples(Q: QMatrix) -> TripleSet:
     """Triples whose coordinate plane lies in the point variety.
 
-    These are exactly the triples with vanishing obstruction scalar,
-    equivalently the rank-one principal 3x3 blocks of Q.
+    These are exactly the triples with vanishing obstruction scalar
+    b_ijk = q_ij * q_jk * q_ik^-1, equivalently the rank-one principal 3x3
+    blocks of Q.  Row p of the exponent array holds the torsion phase and
+    the generator exponents of the p-th pair's entry; b_ijk is row ij +
+    row jk - row ik with the phase reduced mod the torsion modulus, and the
+    triple is good iff that row is zero.  The integer type is chosen so
+    that a sum of three entries cannot overflow; entries beyond int64 run
+    the same code on Python integers (dtype object).  Generators are taken
+    in column blocks built from the nonzero entries and triples in
+    lexicographic chunks, so no array holds more than about _STEP_ENTRIES
+    entries.
     """
-    return TripleSet(
-        Q.n, frozenset(t for t in all_triples(Q.n) if Q.b(t).is_one)
-    )
+    n, table = Q.n, Q.table
+    column = {g: c for c, g in enumerate(table.names, 1)}  # column 0: torsion
+    scalars = [Q.upper[pair] for pair in pair_list(n)]
+    entries = [(p, column[g], e) for p, s in enumerate(scalars) for g, e in s.exponents]
+    entries += [(p, 0, s.torsion) for p, s in enumerate(scalars) if s.torsion]
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    # the narrowest integer type holding +-3 times the largest entry, so a
+    # sum of three rows is exact; object (Python integers) beyond int64
+    dtype = np.min_scalar_type(-3 * max([table.torsion_modulus, *map(abs, vals)]))
+    rows, cols, vals = np.array(rows, np.intp), np.array(cols, np.intp), np.array(vals, dtype)
+    ij, jk, ik = _triple_pairs(n)
+    good = np.ones(len(ij), dtype=bool)
+    width, pairs = len(column) + 1, num_pairs(n)
+    block = max(1, _STEP_ENTRIES // max(pairs, 1))
+    for c0 in range(0, width, block):
+        c1 = min(c0 + block, width)
+        E = np.zeros((pairs, c1 - c0), dtype)
+        inside = (cols >= c0) & (cols < c1)
+        E[rows[inside], cols[inside] - c0] = vals[inside]
+        live, step = np.flatnonzero(good), max(1, _STEP_ENTRIES // (c1 - c0))
+        for r0 in range(0, len(live), step):
+            r = live[r0:r0 + step]
+            b = E[ij[r]]
+            b += E[jk[r]]
+            b -= E[ik[r]]
+            if c0 == 0:
+                b[:, 0] %= table.torsion_modulus
+            good[r] = (b == 0).all(axis=1)
+    return TripleSet(n, frozenset(itertools.compress(all_triples(n), good.tolist())))
 
 
 def is_rank_one(Q: QMatrix, S: Flat) -> bool:

@@ -9,7 +9,6 @@ from conftest import random_qmatrix, random_structured_qmatrix
 from qpoints.adequacy import (
     OrbitCatalog,
     adequate_masks,
-    canonical_form,
     enumerate_adequate,
     is_adequate,
     is_dense,
@@ -93,20 +92,20 @@ class TestSymmetryInvariance:
 
 class TestCanonicalForm:
     def test_relabeling_example(self):
-        assert canonical_form(TripleSet.of(4, [(2, 3, 4)])) == TripleSet.of(
+        assert TripleSet.of(4, [(2, 3, 4)]).canonical() == TripleSet.of(
             4, [(0, 1, 2)]
         )
 
     def test_empty(self):
-        assert canonical_form(TripleSet.empty(3)) == TripleSet.empty(3)
+        assert TripleSet.empty(3).canonical() == TripleSet.empty(3)
 
     @settings(max_examples=40, deadline=None)
     @given(collections(4))
     def test_idempotent_and_orbit_constant(self, C):
-        canon = canonical_form(C)
-        assert canonical_form(canon) == canon
+        canon = C.canonical()
+        assert canon.canonical() == canon
         perm = permutations(4)[17]
-        assert canonical_form(C.apply(perm)) == canon
+        assert C.apply(perm).canonical() == canon
 
 
 class TestEnumeration:
@@ -137,7 +136,7 @@ class TestEnumeration:
     def test_representatives_are_canonical_and_adequate(self):
         catalog = enumerate_adequate(4)
         for rep in catalog.representatives:
-            assert canonical_form(rep) == rep
+            assert rep.canonical() == rep
             assert is_adequate(rep)
 
     def test_adequate_nonempty_implies_dense_below_five(self):
@@ -166,8 +165,8 @@ class TestNonDense:
     def test_exactly_two_classes_at_five(self):
         found = non_dense_adequate(5)
         expected = {
-            canonical_form(transversal_collection()).mask,
-            canonical_form(pentagonal_collection()).mask,
+            transversal_collection().canonical().mask,
+            pentagonal_collection().canonical().mask,
         }
         assert {c.mask for c in found} == expected
 

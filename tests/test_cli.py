@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -246,6 +247,69 @@ class TestEnumerate:
         manifest = json.loads((tmp_path / "catalog.jsonl.manifest.json").read_text())
         assert manifest["outputs"] == [str(out)]
         assert "qpoints" in manifest["versions"]
+
+
+class TestNegativeN:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "-1"],
+            ["sinks", "-1"],
+            ["enumerate", "-1", "--nodes"],
+            ["enumerate", "-1", "--adequate"],
+            ["graph", "-2", "--long"],
+        ],
+    )
+    def test_exits_3_naming_n(self, capsys, argv):
+        assert main(argv) == 3
+        assert f"n must be >= 0, got {argv[1]}" in capsys.readouterr().err
+
+
+#: Every combination of the flags of each dimension-taking command.
+FLAG_COMBINATIONS = [
+    (command, flags)
+    for command, names in (
+        ("enumerate", ("--adequate", "--nodes", "--long", "--out")),
+        ("graph", ("--dot", "--json", "--long", "--out")),
+        ("sinks", ("--long",)),
+    )
+    for k in range(len(names) + 1)
+    for flags in itertools.combinations(names, k)
+]
+
+
+class TestDimensionFuzz:
+    @pytest.mark.parametrize("command,flags", FLAG_COMBINATIONS)
+    @settings(
+        max_examples=6,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(n=st.integers(-5, 8))
+    @example(n=-1)
+    @example(n=6)
+    def test_exits_cleanly(self, tmp_path, capsys, command, flags, n):
+        argv = [command, str(n)]
+        for flag in flags:
+            argv.append(flag)
+            if flag in ("--out", "--dot"):
+                argv.append(str(tmp_path / flag.strip("-")))
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        one_mode = command != "enumerate" or ("--adequate" in flags) != ("--nodes" in flags)
+        needs_long = n == 5 and "--long" not in flags and "--adequate" not in flags
+        if one_mode and 0 <= n <= 5 and not needs_long:
+            assert code == 0
+        else:
+            assert code != 0
+            assert elapsed < 2.0
 
 
 class TestGraph:

@@ -3,9 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import random
+
+from qpoints import degeneration
 from qpoints.degeneration import (
     BudgetError,
     DegNode,
+    SolutionFamily,
     _node_from_closed,
     build_graph,
     enumerate_nodes,
@@ -16,7 +20,16 @@ from qpoints.degeneration import (
     to_dot,
 )
 from qpoints.gallery import pentagonal_good_set, sign_matrix
-from qpoints.lattice import SubLattice, closure, num_pairs, triple_char
+from qpoints.lattice import (
+    TORSION_SEARCH_LIMIT,
+    SubLattice,
+    closure,
+    num_pairs,
+    pair_list,
+    smith_normal_form,
+    snf_diagonal,
+    triple_char,
+)
 from qpoints.realize import generic_point_of_node
 from qpoints.scalars import NameSupply
 from qpoints.triples import TripleSet, all_triples, canonical_mask, mask_images, num_triples
@@ -309,6 +322,39 @@ class TestForcedSolutions:
         assert not family.is_finite
         assert family.free_rank == 15
         assert "dimension 15" in family.describe()
+
+    def test_matches_unreduced_system(self):
+        # oracle: the Smith normal form of one row per good triple plus one
+        # per pin, without the echelon reduction
+        rng = random.Random(63)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            P = num_pairs(n)
+            trips = all_triples(n)
+            G = TripleSet.of(n, rng.sample(trips, rng.randint(0, len(trips))))
+            pins = [(i, n) for i in range(n)]
+            rows = [list(triple_char(t, n)) for t in G]
+            rows += [[int(p == pin) for p in pair_list(n)] for pin in pins]
+            D, _, V = smith_normal_form(rows)
+            diag = snf_diagonal(D)
+            orders = [diag[i] if i < len(diag) else 0 for i in range(P)]
+            family = forced_solutions(G, pins)
+            assert family.free_rank == orders.count(0)
+            assert family.torsion_orders == tuple(d for d in orders if d > 1)
+            assert family.exponent_columns == tuple(
+                tuple(V[p][i] % d for p in range(P)) for i, d in enumerate(orders) if d > 1
+            )
+
+    def test_solution_listing_is_bounded(self, monkeypatch):
+        columns = ((0, 0, 1), (0, 1, 0))
+        big = SolutionFamily(2, 0, (1000, 1000), columns)
+        assert big.count > TORSION_SEARCH_LIMIT
+        with pytest.raises(ValueError, match="listing limit"):
+            big.solutions()
+        monkeypatch.setattr(degeneration, "TORSION_SEARCH_LIMIT", 4)
+        assert len(SolutionFamily(2, 0, (2, 2), columns).solutions()) == 4
+        with pytest.raises(ValueError, match="listing limit of 4"):
+            SolutionFamily(2, 0, (2, 3), columns).solutions()
 
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):

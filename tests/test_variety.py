@@ -2,7 +2,10 @@ import itertools
 import random
 from math import comb
 
+import pytest
+
 from conftest import random_qmatrix, random_structured_qmatrix
+from qpoints import variety
 from qpoints.gallery import (
     all_ones_matrix,
     block_matrix,
@@ -12,6 +15,7 @@ from qpoints.gallery import (
     sign_matrix,
     transversal_collection,
 )
+from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix
 from qpoints.triples import TripleSet, all_triples
 from qpoints.variety import (
     components,
@@ -46,6 +50,21 @@ def brute_force_components(good: TripleSet):
     return tuple(maximal), tuple(counts)
 
 
+def oracle_good_triples(Q):
+    """Oracle for good_triples(): one obstruction scalar per triple."""
+    return TripleSet(Q.n, frozenset(t for t in all_triples(Q.n) if Q.b(t).is_one))
+
+
+def matrix(n, entries, modulus=2, names=None):
+    """QMatrix from {pair: (exponents, torsion)}; other pairs are 1."""
+    upper = {
+        (i, j): GroupScalar.from_dict(*entries.get((i, j), ({}, 0)), modulus)
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    return QMatrix(n, upper, None if names is None else GeneratorTable(names, modulus))
+
+
 def skeleton_weight(config) -> int:
     """Total number of coordinate-line slots the components offer; at least
     the number of coordinate lines, with equality iff components pairwise
@@ -68,6 +87,71 @@ class TestGoodTriples:
 
     def test_block_matrix(self):
         assert good_triples(block_matrix()).complement() == transversal_collection()
+
+    def test_matches_per_triple_oracle(self):
+        rng = random.Random(61)
+        for n in range(10):
+            for Q in (
+                random_qmatrix(rng, n),
+                random_qmatrix(rng, n, torsion=False),
+                random_structured_qmatrix(rng, n),
+            ):
+                assert good_triples(Q) == oracle_good_triples(Q)
+
+    def test_blocks_and_chunks_match_oracle(self, monkeypatch):
+        # a tiny step splits the generators into column blocks and the
+        # triples into chunks, which the small matrices never need
+        rng = random.Random(62)
+        matrices = [random_qmatrix(rng, n) for n in range(2, 8)]
+        matrices += [random_structured_qmatrix(rng, n) for n in range(2, 8)]
+        expected = [oracle_good_triples(Q) for Q in matrices]
+        monkeypatch.setattr(variety, "_STEP_ENTRIES", 5)
+        assert [good_triples(Q) for Q in matrices] == expected
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_exponent_sums_never_wrap(self, bits):
+        # 2^(k-2) + 2^(k-2) + 2^(k-1) = 2^k, which is 0 in k-bit integers
+        half, quarter = 2 ** (bits - 1), 2 ** (bits - 2)
+        Q = matrix(3, {(0, 1): ({"a": quarter}, 0), (1, 2): ({"a": quarter}, 0),
+                       (0, 2): ({"a": -half}, 0)})
+        assert (0, 1, 2) not in good_triples(Q)
+        assert good_triples(Q) == oracle_good_triples(Q)
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_torsion_sums_never_wrap(self, bits):
+        # phases 5*2^(k-4) twice: 5*2^(k-3) wraps to -3*2^(k-3) in k-bit
+        # integers, a multiple of the modulus 3*2^(k-3), although 5*2^(k-3)
+        # is not
+        m = 3 * 2 ** (bits - 3)
+        Q = matrix(3, {(0, 1): ({}, 5 * 2 ** (bits - 4)), (1, 2): ({}, 5 * 2 ** (bits - 4))}, m)
+        assert (0, 1, 2) not in good_triples(Q)
+        assert good_triples(Q) == oracle_good_triples(Q)
+        Q = matrix(3, {(0, 1): ({}, m - 1), (1, 2): ({}, m - 1), (0, 2): ({}, m - 2)}, m)
+        assert (0, 1, 2) in good_triples(Q)
+        assert good_triples(Q) == oracle_good_triples(Q)
+
+    def test_exponents_beyond_int64(self):
+        Q = matrix(3, {(0, 1): ({"a": 2**64}, 0), (1, 2): ({"a": -(2**66)}, 0),
+                       (0, 2): ({"a": 2**64 - 2**66}, 0), (2, 3): ({"b": 2**63}, 0)})
+        assert good_triples(Q) == oracle_good_triples(Q)
+        assert good_triples(Q) == TripleSet.of(3, [(0, 1, 2)])
+
+    def test_torsion_modulus_one(self):
+        Q = matrix(3, {(0, 1): ({"a": 1}, 5), (1, 2): ({}, 7)}, 1)
+        assert good_triples(Q) == oracle_good_triples(Q)
+        assert good_triples(Q) == TripleSet.of(3, [(0, 2, 3), (1, 2, 3)])
+        assert good_triples(QMatrix.ones(3, modulus=1)) == TripleSet.full(3)
+
+    def test_unused_table_generators(self):
+        Q = matrix(3, {(0, 1): ({"b": 1}, 0), (0, 2): ({"b": 1}, 1)}, 2, ("a", "b", "z"))
+        assert good_triples(Q) == oracle_good_triples(Q)
+        assert good_triples(Q) == TripleSet.of(3, [(1, 2, 3)])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_dimensions(self, n):
+        assert good_triples(QMatrix.ones(n)) == TripleSet.full(n)
+        Q = matrix(n, {(0, n): ({"a": 1}, 0)} if n else {})
+        assert good_triples(Q) == oracle_good_triples(Q)
 
 
 class TestIsRankOne:
