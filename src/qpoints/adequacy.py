@@ -2,11 +2,13 @@
 
 A collection C lists the coordinate planes NOT contained in a point variety.
 Not every collection can arise this way; the adequacy predicate below is a
-necessary condition, and denseness is the stronger condition driving the
-constructive realization.  The enumerator sweeps all collections for a given
-ambient dimension (bitmask-vectorized, so the million-subset case n = 5
-takes well under a second) and groups them into orbits of the coordinate
-symmetry.
+necessary condition.  Denseness is a stronger condition, kept for the
+classification (the catalog's dense flag and the two non-dense classes at
+n = 5); realization does not depend on it, only on whether the complement
+is closed under the character span.  The enumerator sweeps all collections
+for a given ambient dimension (bitmask-vectorized, so the million-subset
+case n = 5 takes well under a second) and groups them into orbits of the
+coordinate symmetry.
 """
 
 from __future__ import annotations

@@ -17,23 +17,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .lattice import (
     TORSION_SEARCH_LIMIT,
     SubLattice,
+    closure,
     node_label,
     num_pairs,
     pair_list,
-    smith_normal_form,
-    snf_diagonal,
-    triple_char,
+    triple_chars,
 )
 from .scalars import GroupScalar
 from .triples import (
     TripleSet,
-    all_triples,
     canonical_mask,
     canonical_mask_orbit,
 )
@@ -122,8 +120,7 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     non-covers too.
     """
     P = num_pairs(n)
-    trips = all_triples(n)
-    chars = [triple_char(t, n) for t in trips]
+    chars = triple_chars(n)
     empty = TripleSet.empty(n)
     nodes = [_node_from_closed(empty, SubLattice(P))]
     canonical = {empty.mask: empty.mask}  # raw closed mask -> canonical mask
@@ -133,17 +130,12 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     while frontier:
         next_frontier: list[tuple[TripleSet, SubLattice, int]] = []
         for K, lat, k_cm in frontier:
-            for ti, t in enumerate(trips):
+            for t, char in chars.items():
                 if t in K.triples:
                     continue
                 lat2 = lat.copy()
-                lat2.add(chars[ti])
-                members = set(K.triples)
-                members.add(t)
-                for tj, s in enumerate(trips):
-                    if s not in members and lat2.contains(chars[tj]):
-                        members.add(s)
-                L = TripleSet(n, frozenset(members))
+                lat2.add(char)
+                L = closure(K, lat2)
                 lm = L.mask
                 cm = canonical.get(lm)
                 if cm is None:
@@ -173,7 +165,7 @@ def enumerate_nodes(n: int, long: bool = False) -> tuple[DegNode, ...]:
     if n < 0:
         raise ValueError(f"dimension index n must be >= 0, got {n}")
     if n > 5:
-        raise BudgetError("node enumeration supported for n <= 5")
+        raise ValueError(f"node enumeration supported for 0 <= n <= 5, got {n}")
     if n == 5 and not long:
         raise BudgetError("n = 5 node enumeration requires the long flag")
     return _nodes_cached(n)[0]
@@ -242,12 +234,7 @@ class SolutionFamily:
 
     @property
     def count(self) -> int | None:
-        if not self.is_finite:
-            return None
-        total = 1
-        for d in self.torsion_orders:
-            total *= d
-        return total
+        return prod(self.torsion_orders) if self.is_finite else None
 
     def solutions(self) -> list[dict[tuple[int, int], GroupScalar]]:
         """Explicit parameter assignments, when the solution set is finite
@@ -311,28 +298,18 @@ def forced_solutions(
         if (i, j) in norm:
             raise ValueError(f"duplicate normalization pair {pair!r}")
         norm.append((i, j))
-    chars = itertools.chain(
-        (triple_char(t, n) for t in G),
+    chars = triple_chars(n)
+    rows = itertools.chain(
+        (chars[t] for t in G),
         ([int(p == idx[pair]) for p in range(P)] for pair in norm),
     )
-    # Echelon form first: the same lattice in at most P rows, however many
-    # triples G has, so the Smith normal form stays small.
-    rows = SubLattice.span(chars, P).rows
-    if not rows:
-        return SolutionFamily(n, P, (), ())
-    D, _, V = smith_normal_form(rows)
-    diag = snf_diagonal(D)
-    orders = [diag[i] if i < len(diag) else 0 for i in range(P)]
-    free_rank = sum(1 for d in orders if d == 0)
-    torsion = [(i, d) for i, d in enumerate(orders) if d > 1]
-    columns = tuple(
-        tuple(V[p][i] % d for p in range(P)) for i, d in torsion
-    )
+    quotient = SubLattice.span(rows, P).quotient()
+    V = quotient.V
     return SolutionFamily(
         n,
-        free_rank,
-        tuple(d for _, d in torsion),
-        columns,
+        len(quotient.free),
+        tuple(d for _, d in quotient.torsion),
+        tuple(tuple(V[p][i] % d for p in range(P)) for i, d in quotient.torsion),
     )
 
 

@@ -6,11 +6,17 @@ functions q_uv, u < v.  Sub-tori cut out by sets of such characters are
 compared through the integer span of their characters; membership is exact
 integer membership (no saturation), which is what keeps torsion solutions
 such as sign matrices distinguishable from the identity component.
+
+One kernel, SubLattice.quotient, computes Z^P / L for a span L from the
+Smith normal form of L's echelon rows: free columns, torsion columns with
+their orders, and the image of a character.  Realization, its obstructions
+and forced solutions read that quotient; closure and node labels read L.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb
@@ -48,6 +54,13 @@ def triple_char(t: Triple, n: int) -> tuple[int, ...]:
     v[idx[(j, k)]] += 1
     v[idx[(i, k)]] -= 1
     return tuple(v)
+
+
+@lru_cache(maxsize=None)
+def triple_chars(n: int) -> dict[Triple, array]:
+    """Characters of all triples of dimension n, in lexicographic order, as
+    signed bytes: 28 MB at n = 50, where tuples would take 213 MB."""
+    return {t: array("b", triple_char(t, n)) for t in all_triples(n)}
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -140,6 +153,10 @@ class SubLattice:
                 vec[c] -= q * row[c]
         return not any(vec)
 
+    def quotient(self) -> "Quotient":
+        """The quotient of Z^dim by this lattice."""
+        return Quotient(self)
+
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """Canonical Hermite-form basis: positive pivots, entries above each
         pivot reduced into [0, pivot)."""
@@ -166,10 +183,43 @@ class SubLattice:
         return f"SubLattice(dim={self.dim}, rank={self.rank})"
 
 
+class Quotient:
+    """The quotient Z^dim / L of a sub-lattice L.
+
+    Read off the Smith normal form D = U @ A @ V of L's echelon rows A: a
+    vector v maps to its image v @ V.  Column i of the image has order
+    d_i, the i-th diagonal entry of D (0 beyond the rank).  Columns of
+    order 0 are free, columns of order d > 1 are torsion (Z/d), and columns
+    of order 1 carry nothing.  v lies in L exactly when its image is zero
+    in the quotient: zero on every free column and divisible by the order
+    of every torsion column.
+    """
+
+    __slots__ = ("free", "torsion", "V")
+
+    def __init__(self, lat: SubLattice) -> None:
+        # a zero row stands in for the empty span, so that V is dim x dim
+        D, self.V = smith_normal_form(lat.rows or [[0] * lat.dim])
+        orders = [D[i][i] if i < len(D) else 0 for i in range(lat.dim)]
+        self.free = tuple(i for i, d in enumerate(orders) if d == 0)
+        self.torsion = tuple((i, d) for i, d in enumerate(orders) if d > 1)
+
+    def image(self, vec) -> list[int]:
+        z = [0] * len(self.V)
+        for v, row in zip(vec, self.V):
+            if v:
+                z = [a + v * b for a, b in zip(z, row)]
+        return z
+
+    def is_zero(self, z) -> bool:
+        """Whether an image is zero, i.e. its vector lies in L."""
+        return not any(z[i] for i in self.free) and all(z[i] % d == 0 for i, d in self.torsion)
+
+
 def span(J: TripleSet) -> SubLattice:
     """Integer span of the characters of a triple set."""
-    n = J.n
-    return SubLattice.span((triple_char(t, n) for t in J), num_pairs(n))
+    chars = triple_chars(J.n)
+    return SubLattice.span((chars[t] for t in J), num_pairs(J.n))
 
 
 def closure(J: TripleSet, _lat: SubLattice | None = None) -> TripleSet:
@@ -177,14 +227,14 @@ def closure(J: TripleSet, _lat: SubLattice | None = None) -> TripleSet:
 
     A triple belongs to the closure exactly when its character is an integer
     combination of the characters of J.  The operator is extensive, monotone
-    and idempotent.
+    and idempotent.  A given lattice replaces span(J): the result is then J
+    plus every triple whose character lies in that lattice.
     """
     lat = span(J) if _lat is None else _lat
-    n = J.n
     members = frozenset(
-        t for t in all_triples(n) if t in J.triples or lat.contains(triple_char(t, n))
+        t for t, char in triple_chars(J.n).items() if t in J.triples or lat.contains(char)
     )
-    return TripleSet(n, members)
+    return TripleSet.from_valid(J.n, members)
 
 
 def quartet_saturate(J: TripleSet) -> TripleSet:
@@ -217,34 +267,25 @@ def node_label(J: TripleSet, _lat: SubLattice | None = None) -> int:
     return num_pairs(J.n) - lat.rank - J.n
 
 
-def kernel_rank(n: int) -> int:
-    """Rank of the span of all triple characters; its corank in the pair
-    lattice is the dimension n of the free rescaling torus."""
-    return span(TripleSet.full(n)).rank
-
-
-def smith_normal_form(
-    matrix: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Smith normal form D = U @ A @ V with U, V unimodular.
 
-    Returns (D, U, V).  D is diagonal with d_i >= 0 and d_i | d_{i+1}.
-    Intended for the small systems of this package (at most ~20 x ~60).
+    Returns (D, V); U is not built.  D is diagonal with d_i >= 0 and
+    d_i | d_{i+1}.  Its caller, SubLattice.quotient, passes echelon rows:
+    at most one row per column.
     """
     A = [row.copy() for row in matrix]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
         # rows_i, rows_j <- x*rows_i + y*rows_j, xx*rows_i + yy*rows_j
-        for M in (A, U):
-            ri, rj = M[i], M[j]
-            for c in range(len(ri)):
-                a, b = ri[c], rj[c]
-                ri[c] = x * a + y * b
-                rj[c] = xx * a + yy * b
+        ri, rj = A[i], A[j]
+        for c in range(ncols):
+            a, b = ri[c], rj[c]
+            ri[c] = x * a + y * b
+            rj[c] = xx * a + yy * b
 
     def col_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
         for M in (A, V):
@@ -252,10 +293,6 @@ def smith_normal_form(
                 a, b = row[i], row[j]
                 row[i] = x * a + y * b
                 row[j] = xx * a + yy * b
-
-    def swap_rows(i: int, j: int) -> None:
-        for M in (A, U):
-            M[i], M[j] = M[j], M[i]
 
     def swap_cols(i: int, j: int) -> None:
         for M in (A, V):
@@ -273,7 +310,7 @@ def smith_normal_form(
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
+        A[k], A[pivot[0]] = A[pivot[0]], A[k]
         swap_cols(k, pivot[1])
         while True:
             for i in range(k + 1, nrows):
@@ -310,12 +347,6 @@ def smith_normal_form(
             row_op(k, offender, 1, 1, 0, 1)  # add offending row to row k
             continue  # redo elimination at the same k
         if A[k][k] < 0:
-            for M in (A, U):
-                M[k] = [-v for v in M[k]]
+            A[k] = [-v for v in A[k]]
         k += 1
-    return A, U, V
-
-
-def snf_diagonal(D: list[list[int]]) -> list[int]:
-    size = min(len(D), len(D[0]) if D else 0)
-    return [D[i][i] for i in range(size)]
+    return A, V

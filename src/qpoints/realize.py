@@ -17,21 +17,12 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 from .adequacy import Collection, enumerate_adequate, is_adequate
-from .lattice import (
-    TORSION_SEARCH_LIMIT,
-    closure,
-    num_pairs,
-    pair_index,
-    pair_list,
-    smith_normal_form,
-    snf_diagonal,
-    triple_char,
-)
+from .lattice import TORSION_SEARCH_LIMIT, pair_list, span, triple_chars
 from .scalars import GroupScalar, NameSupply, QMatrix
-from .triples import TripleSet, all_triples
+from .triples import TripleSet
 from .variety import good_triples
 
 
@@ -45,6 +36,15 @@ class NotAdequateError(RealizationError):
 
 class GenericPointError(Exception):
     """No choice of torsion characters separates the closed set."""
+
+
+class NotClosedError(ValueError):
+    """The set is not closed under the character span; `forced` lists the
+    triples outside it whose characters lie in the span."""
+
+    def __init__(self, forced: list) -> None:
+        super().__init__("input must be closed under the character span")
+        self.forced = forced
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,27 @@ def forced_good_triples(C: Collection) -> list:
     scalars multiply along integer character relations), so a collection
     whose complement is not closed is not exactly realizable.
     """
-    good = C.complement()
-    return sorted(closure(good).triples - good.triples)
+    quotient = span(C.complement()).quotient()
+    chars = triple_chars(C.n)
+    return [t for t in C if quotient.is_zero(quotient.image(chars[t]))]
 
 
 def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResult:
     """Build a matrix whose excluded planes are exactly C, and verify it.
 
-    Preconditions: C adequate and n <= 5.  A collection whose complement is
-    not character-closed is reported as obstructed, naming the forced planes
-    (see forced_good_triples).  Otherwise the complement's generic point
-    (generic_point_of_node) is the matrix, exactly verified there; a closed
-    set without a generic point is reported with the reason.
+    Preconditions: C adequate and n <= 5.  The matrix is the generic point
+    of the complement (generic_point_of_node), exactly verified there.  A
+    complement that is not character-closed is reported as obstructed,
+    naming the forced planes (see forced_good_triples); a closed set
+    without a generic point is reported with the reason.
     """
     if C.n > 5:
         raise RealizationError("realization supported for n <= 5 only")
     if not is_adequate(C):
         raise NotAdequateError(f"collection is not adequate: {C}")
-    forced = forced_good_triples(C)
-    if forced:
+    try:
+        matrix = generic_point_of_node(C.complement(), supply)
+    except NotClosedError as exc:
         return RealizationResult(
             None,
             None,
@@ -91,10 +93,8 @@ def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResul
             False,
             "obstructed",
             "no exact realization exists: the character span of the "
-            f"complement forces {forced} into the point variety",
+            f"complement forces {exc.forced} into the point variety",
         )
-    try:
-        matrix = generic_point_of_node(C.complement(), supply)
     except GenericPointError as exc:
         return RealizationResult(None, None, C, False, "generic-point", f"no generic point: {exc}")
     return RealizationResult(matrix, C, C, True, "generic-point")
@@ -149,60 +149,45 @@ def generic_point_of_node(
 ) -> QMatrix:
     """A matrix whose good-triple set is exactly the given closed set.
 
-    Solves the character equations over the exponent lattice: free degrees
-    of freedom become fresh generators, and the finite component group is
-    searched for a character that keeps every triple outside the closed set
-    obstructed.  The result is verified exactly.
+    Solves the character equations over the quotient of the exponent
+    lattice by the closed set's span: free degrees of freedom become fresh
+    generators, and the finite component group is searched for a character
+    that keeps every triple outside the closed set obstructed.  The result
+    is verified exactly.  A set that is not closed raises NotClosedError.
     """
     supply = supply if supply is not None else NameSupply()
     n = closed.n
-    P = num_pairs(n)
-    rows = [list(triple_char(t, n)) for t in closed]
-    if rows:
-        D, _, V = smith_normal_form(rows)
-        diag = snf_diagonal(D)
-    else:
-        V = [[int(i == j) for j in range(P)] for i in range(P)]
-        diag = []
-    orders = [diag[i] if i < len(diag) else 0 for i in range(P)]
-    free_cols = [i for i in range(P) if orders[i] == 0]
-    torsion_cols = [(i, orders[i]) for i in range(P) if orders[i] > 1]
-    m = lcm(*(d for _, d in torsion_cols)) if torsion_cols else 1
+    quotient = span(closed).quotient()
+    free_cols, torsion_cols, V = quotient.free, quotient.torsion, quotient.V
+    m = lcm(*(d for _, d in torsion_cols))
     modulus = m if m > 1 else 2
-    # transformed characters z = char . V of the triples outside the closed
-    # set, read off the three pair rows of V: z = V[ij] + V[jk] - V[ik]
-    idx = pair_index(n)
-    free_zero_outside = []
-    for (i, j, k) in all_triples(n):
-        if (i, j, k) in closed.triples:
+    # images of the characters outside the closed set: those that are zero
+    # are forced into it; those zero on the free columns lie in a torsion
+    # coset of the span, and only a torsion character can obstruct them
+    forced, free_zero_outside = [], []
+    for t, char in triple_chars(n).items():
+        if t in closed.triples:
             continue
-        a, b, c = V[idx[(i, j)]], V[idx[(j, k)]], V[idx[(i, k)]]
-        z = [a[x] + b[x] - c[x] for x in range(P)]
-        if all(z[x] == 0 for x in free_cols):
+        z = quotient.image(char)
+        if quotient.is_zero(z):
+            forced.append(t)
+        elif not any(z[x] for x in free_cols):
             free_zero_outside.append(z)
-    # a character lies in the span exactly when z vanishes on the free
-    # columns and is divisible by the order of every torsion column
-    if any(all(z[x] % d == 0 for x, d in torsion_cols) for z in free_zero_outside):
-        raise ValueError("input must be closed under the character span")
+    if forced:
+        raise NotClosedError(forced)
+
+    def phase(cand, z) -> int:
+        # value in Z/m of the torsion character cand on an image z
+        return sum((m // d) * c * z[i] for (i, d), c in zip(torsion_cols, cand)) % m
+
     # choose torsion characters separating every remaining outside triple
-    total = 1
-    for _, d in torsion_cols:
-        total *= d
+    total = prod(d for _, d in torsion_cols)
     if total > max_torsion_search:
         raise GenericPointError(f"component group too large to search ({total})")
-    choice = None
-    for cand in itertools.product(*(range(d) for _, d in torsion_cols)):
-        ok = True
-        for z in free_zero_outside:
-            phase = sum(
-                (m // d) * c * z[i] for (i, d), c in zip(torsion_cols, cand)
-            ) % m
-            if phase == 0:
-                ok = False
-                break
-        if ok:
-            choice = cand
-            break
+    candidates = itertools.product(*(range(d) for _, d in torsion_cols))
+    choice = next(
+        (cand for cand in candidates if all(phase(cand, z) for z in free_zero_outside)), None
+    )
     if choice is None:
         raise GenericPointError(
             "no torsion character separates the closed set; "
@@ -210,15 +195,9 @@ def generic_point_of_node(
         )
     free_gens = {i: supply.fresh() for i in free_cols}
     upper = {}
-    for p_idx, pair in enumerate(pair_list(n)):
-        exps = {}
-        for i in free_cols:
-            if V[p_idx][i]:
-                exps[free_gens[i]] = V[p_idx][i]
-        phase = sum(
-            (m // d) * c * V[p_idx][i] for (i, d), c in zip(torsion_cols, choice)
-        ) % m if torsion_cols else 0
-        upper[pair] = GroupScalar.from_dict(exps, phase, modulus)
+    for row, pair in zip(V, pair_list(n)):
+        exps = {free_gens[i]: row[i] for i in free_cols if row[i]}
+        upper[pair] = GroupScalar.from_dict(exps, phase(choice, row), modulus)
     Q = QMatrix(n, upper)
     achieved = good_triples(Q)
     if achieved != closed:

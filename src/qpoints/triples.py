@@ -145,6 +145,14 @@ class TripleSet:
         object.__setattr__(self, "triples", norm)
 
     @classmethod
+    def from_valid(cls, n: int, triples: frozenset[Triple]) -> "TripleSet":
+        """A set of triples taken from all_triples(n), so not re-checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "triples", triples)
+        return obj
+
+    @classmethod
     def of(cls, n: int, triples: Iterable[Iterable[int]] = ()) -> "TripleSet":
         return cls(n, frozenset(tuple(t) for t in triples))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qpoints.realize import generic_point_of_node
-from qpoints.lattice import closure
+from qpoints.lattice import closure, span
 from qpoints.scalars import GroupScalar, NameSupply, QMatrix
 from qpoints.triples import Triple, TripleSet, all_triples
 
@@ -36,6 +36,17 @@ def random_structured_qmatrix(rng: random.Random, n: int) -> QMatrix:
     k = rng.randint(0, min(4, len(trips)))
     J = TripleSet.of(n, rng.sample(trips, k))
     return generic_point_of_node(closure(J), NameSupply("s"))
+
+
+def kernel_rank(n: int) -> int:
+    """Rank of the span of all triple characters; its corank in the pair
+    lattice is the dimension n of the free rescaling torus."""
+    return span(TripleSet.full(n)).rank
+
+
+def snf_diagonal(D: list[list[int]]) -> list[int]:
+    """Diagonal of a Smith normal form D."""
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
 def rational_b(matrix: list[list[Fraction]], t: Triple) -> Fraction:

@@ -18,7 +18,13 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from conftest import prime_assignment, random_qmatrix, random_structured_qmatrix, rational_b
+from conftest import (
+    kernel_rank,
+    prime_assignment,
+    random_qmatrix,
+    random_structured_qmatrix,
+    rational_b,
+)
 from test_degeneration import P4_TYPES, check_graph_matches_reference, label_of
 from test_realize import OBSTRUCTED
 
@@ -33,7 +39,7 @@ from qpoints.gallery import (
     sign_matrix,
     transversal_collection,
 )
-from qpoints.lattice import closure, kernel_rank, num_pairs, quartet_saturate
+from qpoints.lattice import closure, num_pairs, quartet_saturate
 from qpoints.triples import TripleSet, all_triples
 from qpoints.variety import (
     good_triples,

@@ -249,6 +249,23 @@ class TestEnumerate:
         assert "qpoints" in manifest["versions"]
 
 
+class TestNodesBeyondRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "6", "--long"],
+            ["sinks", "6", "--long"],
+            ["enumerate", "6", "--nodes", "--long"],
+        ],
+    )
+    def test_exits_3_without_long_hint(self, capsys, argv):
+        # --long cannot lift the n <= 5 limit, so it is not suggested
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "n <= 5" in err
+        assert "use --long" not in err
+
+
 class TestNegativeN:
     @pytest.mark.parametrize(
         "argv",

@@ -2,16 +2,16 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import kernel_rank, snf_diagonal
+from qpoints.degeneration import enumerate_nodes
 from qpoints.lattice import (
     SubLattice,
     closure,
-    kernel_rank,
     node_label,
     num_pairs,
     pair_index,
     quartet_saturate,
     smith_normal_form,
-    snf_diagonal,
     span,
     triple_char,
 )
@@ -111,7 +111,7 @@ class TestMember:
                 ]
             else:
                 target = [rng.randint(-4, 4) for _ in range(dim)]
-            D, _, V = smith_normal_form(vecs)
+            D, V = smith_normal_form(vecs)
             diag = snf_diagonal(D)
             tv = [
                 sum(target[p] * V[p][i] for p in range(dim))
@@ -229,33 +229,62 @@ class TestSmithNormalForm:
         return sign * M[-1][-1]
 
     def test_random_matrices(self):
+        # D = U.A.V for some unimodular U exactly when A.V and D have the
+        # same row lattice, so U itself is not needed
         rng = random.Random(5)
         for _ in range(150):
             r, c = rng.randint(1, 6), rng.randint(1, 6)
             A = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
-            D, U, V = smith_normal_form(A)
-            UA = [
-                [sum(U[i][k] * A[k][j] for k in range(r)) for j in range(c)]
-                for i in range(r)
-            ]
-            UAV = [
-                [sum(UA[i][k] * V[k][j] for k in range(c)) for j in range(c)]
-                for i in range(r)
-            ]
-            assert UAV == D
-            assert abs(self._det(U)) == 1
-            assert abs(self._det(V)) == 1
-            d = snf_diagonal(D)
+            D, V = smith_normal_form(A)
             for i in range(r):
                 for j in range(c):
                     if i != j:
                         assert D[i][j] == 0
+            d = snf_diagonal(D)
             for i in range(len(d) - 1):
                 assert d[i] >= 0
                 if d[i]:
                     assert d[i + 1] % d[i] == 0
                 else:
                     assert d[i + 1] == 0
+            assert abs(self._det(V)) == 1
+            AV = [
+                [sum(A[i][k] * V[k][j] for k in range(c)) for j in range(c)]
+                for i in range(r)
+            ]
+            assert SubLattice.span(AV, c) == SubLattice.span(D, c)
+
+
+class TestQuotient:
+    def test_membership_agrees_with_sublattice(self, rng):
+        lattices = [SubLattice.span([(2, 0, 0)], 3), SubLattice(3)]
+        for _ in range(60):
+            dim, k = rng.randint(1, 6), rng.randint(1, 5)
+            vecs = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
+            lattices.append(SubLattice.span(vecs, dim))
+        for lat in lattices:
+            quotient = lat.quotient()
+            for _ in range(40):
+                v = [rng.randint(-4, 4) for _ in range(lat.dim)]
+                if lat.rows and rng.random() < 0.5:
+                    # a lattice vector plus a small perturbation
+                    for row in lat.rows:
+                        q = rng.randint(-2, 2)
+                        v = [a + q * b for a, b in zip(v, row)]
+                assert quotient.is_zero(quotient.image(v)) == lat.contains(v)
+
+    def test_torsion_of_even_vectors(self):
+        quotient = SubLattice.span([(2, 0, 0)], 3).quotient()
+        assert quotient.torsion == ((0, 2),)
+        assert len(quotient.free) == 2
+        assert quotient.is_zero(quotient.image((-4, 0, 0)))
+        assert not quotient.is_zero(quotient.image((1, 0, 0)))
+
+    def test_free_rank_minus_n_is_node_label(self):
+        for n in (2, 3, 4, 5):
+            for node in enumerate_nodes(n, long=True):
+                free = span(node.closed_set).quotient().free
+                assert len(free) - n == node.label
 
 
 class TestSemanticSoundness:
