@@ -5,10 +5,10 @@ Not every collection can arise this way; the adequacy predicate below is a
 necessary condition.  Denseness is a stronger condition, kept for the
 classification (the catalog's dense flag and the two non-dense classes at
 n = 5); realization does not depend on it, only on whether the complement
-is closed under the character span.  The enumerator sweeps all collections
-for a given ambient dimension (bitmask-vectorized, so the million-subset
-case n = 5 takes well under a second) and groups them into orbits of the
-coordinate symmetry.
+is closed under the character span.  The enumerator tests adequacy on all
+2^C(n+1,3) collection masks at once, one array pass per witness, and
+groups the adequate ones into orbits of the coordinate symmetry with the
+batch canonicalization of the triples module.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .triples import (
-    TripleSet,
-    all_triples,
-    num_triples,
-    triple_index,
-    _perm_mask_tables,
-)
+from .triples import TripleSet, all_triples, canonical_masks, num_triples, triple_index
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -37,31 +31,18 @@ def is_adequate(C: Collection) -> bool:
 
     For every index i and every member plane, some pair inside the member
     must extend through i to another member.  When i lies in the member the
-    member itself witnesses the condition.
+    member itself witnesses the condition.  So the links of the three
+    pairs of each member must cover every index.
     """
-    n = C.n
-    for i in range(n + 1):
-        for (j, k, l) in C.triples:
-            if i in (j, k, l):
-                continue
-            if not any(
-                tuple(sorted((i, u, v))) in C.triples
-                for (u, v) in ((j, k), (j, l), (k, l))
-            ):
-                return False
-    return True
+    link, full = C.links(), (1 << (C.n + 1)) - 1
+    return all(link[j][k] | link[j][l] | link[k][l] == full for j, k, l in C)
 
 
 def is_dense(C: Collection) -> bool:
-    """Whether some coordinate line lies in at least n - 2 members of C."""
-    n = C.n
-    if n - 2 <= 0:
-        return n >= 1  # every coordinate line clears a threshold of zero
-    counts: dict[tuple[int, int], int] = {}
-    for (i, j, k) in C.triples:
-        for pair in ((i, j), (i, k), (j, k)):
-            counts[pair] = counts.get(pair, 0) + 1
-    return any(c >= n - 2 for c in counts.values())
+    """Whether some coordinate line lies in at least n - 2 members of C,
+    i.e. its link holds at least n indices (the line's own two included)."""
+    link = C.links()
+    return any(link[a][b].bit_count() >= C.n for a in range(C.n + 1) for b in range(a))
 
 
 @dataclass(frozen=True)
@@ -131,17 +112,6 @@ def adequate_masks(n: int) -> np.ndarray:
     return masks[~bad]
 
 
-def _canonicalize_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Vectorized orbit-minimal image for an array of collection masks."""
-    lo, hi, split = _perm_mask_tables(n)
-    low = masks & ((1 << split) - 1)
-    high = masks >> split
-    canon = lo[0][low] | hi[0][high]
-    for p in range(1, lo.shape[0]):
-        np.minimum(canon, lo[p][low] | hi[p][high], out=canon)
-    return canon
-
-
 @lru_cache(maxsize=None)
 def enumerate_adequate(n: int) -> OrbitCatalog:
     """Catalog of all adequate collections up to coordinate symmetry."""
@@ -150,9 +120,8 @@ def enumerate_adequate(n: int) -> OrbitCatalog:
     if n > 5:
         raise ValueError("adequate enumeration supported for n <= 5")
     masks = adequate_masks(n)
-    canon = _canonicalize_masks(n, masks)
-    reps, counts = np.unique(canon, return_counts=True)
-    representatives = tuple(TripleSet.from_mask(n, int(m)) for m in reps)
+    reps, counts = np.unique(canonical_masks(n, masks), return_counts=True)
+    representatives = tuple(TripleSet(n, int(m)) for m in reps)
     return OrbitCatalog(
         n=n,
         representatives=representatives,

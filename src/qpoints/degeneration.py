@@ -26,6 +26,7 @@ from .lattice import (
     closure,
     node_label,
     num_pairs,
+    pair_index,
     pair_list,
     triple_chars,
 )
@@ -100,7 +101,7 @@ def _node_from_closed(closed: TripleSet, lat: SubLattice) -> DegNode:
     n = closed.n
     cm, orbit = canonical_mask_orbit(n, closed.mask)
     return DegNode(
-        closed_set=TripleSet.from_mask(n, cm),
+        closed_set=TripleSet(n, cm),
         label=node_label(closed, lat),
         type_vector=components(closed).type_vector,
         orbit_size=orbit,
@@ -120,18 +121,18 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     non-covers too.
     """
     P = num_pairs(n)
-    chars = triple_chars(n)
+    chars = triple_chars(n).values()
     empty = TripleSet.empty(n)
     nodes = [_node_from_closed(empty, SubLattice(P))]
-    canonical = {empty.mask: empty.mask}  # raw closed mask -> canonical mask
-    seen_canonical = {empty.mask}
+    canonical = {0: 0}  # raw closed mask -> canonical mask
+    seen_canonical = {0}
     steps: set[tuple[int, int]] = set()
-    frontier: list[tuple[TripleSet, SubLattice, int]] = [(empty, SubLattice(P), empty.mask)]
+    frontier: list[tuple[TripleSet, SubLattice, int]] = [(empty, SubLattice(P), 0)]
     while frontier:
         next_frontier: list[tuple[TripleSet, SubLattice, int]] = []
         for K, lat, k_cm in frontier:
-            for t, char in chars.items():
-                if t in K.triples:
+            for b, char in enumerate(chars):
+                if K.mask >> b & 1:
                     continue
                 lat2 = lat.copy()
                 lat2.add(char)
@@ -289,7 +290,7 @@ def forced_solutions(
     if n > 50:
         raise ValueError("forced solutions supported for n <= 50")
     P = num_pairs(n)
-    idx = {p: i for i, p in enumerate(pair_list(n))}
+    idx = pair_index(n)
     norm: list[tuple[int, int]] = []
     for pair in normalization:
         i, j = int(pair[0]), int(pair[1])

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
-from .triples import Triple, TripleSet, all_triples, check_triple
+from .triples import Triple, TripleSet, all_triples, check_triple, triple_index
 
 
 #: Largest finite component group, as a product of torsion orders, that is
@@ -231,10 +231,11 @@ def closure(J: TripleSet, _lat: SubLattice | None = None) -> TripleSet:
     plus every triple whose character lies in that lattice.
     """
     lat = span(J) if _lat is None else _lat
-    members = frozenset(
-        t for t, char in triple_chars(J.n).items() if t in J.triples or lat.contains(char)
-    )
-    return TripleSet.from_valid(J.n, members)
+    mask = J.mask
+    for b, char in enumerate(triple_chars(J.n).values()):
+        if not mask >> b & 1 and lat.contains(char):
+            mask |= 1 << b
+    return TripleSet(J.n, mask)
 
 
 def quartet_saturate(J: TripleSet) -> TripleSet:
@@ -244,19 +245,21 @@ def quartet_saturate(J: TripleSet) -> TripleSet:
     one linear relation, so whenever three of the four triples are present
     the fourth is forced.  Always contained in closure(J).
     """
-    n = J.n
-    current = set(J.triples)
+    n, mask = J.n, J.mask
+    idx = triple_index(n)
+    quartets = [
+        [idx[t] for t in itertools.combinations(quad, 3)]
+        for quad in itertools.combinations(range(n + 1), 4)
+    ]
     changed = True
     while changed:
         changed = False
-        for quad in itertools.combinations(range(n + 1), 4):
-            trips = list(itertools.combinations(quad, 3))
-            present = [t in current for t in trips]
-            if sum(present) == 3:
-                missing = trips[present.index(False)]
-                current.add(missing)
+        for bits in quartets:
+            missing = [b for b in bits if not mask >> b & 1]
+            if len(missing) == 1:
+                mask |= 1 << missing[0]
                 changed = True
-    return TripleSet(n, frozenset(current))
+    return TripleSet(n, mask)
 
 
 def node_label(J: TripleSet, _lat: SubLattice | None = None) -> int:

@@ -114,12 +114,6 @@ class RealizeAllSummary:
     def n_success(self) -> int:
         return sum(1 for r in self.results if r.success)
 
-    def method_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.results:
-            counts[r.method] = counts.get(r.method, 0) + 1
-        return counts
-
 
 def _worker_count(threads: int, tasks: int) -> int:
     """Worker processes worth starting: no more than requested, than CPUs,
@@ -142,11 +136,7 @@ def realize_all(n: int, threads: int = 1) -> RealizeAllSummary:
     return RealizeAllSummary(n, results, catalog.orbit_sizes)
 
 
-def generic_point_of_node(
-    closed: TripleSet,
-    supply: NameSupply | None = None,
-    max_torsion_search: int = TORSION_SEARCH_LIMIT,
-) -> QMatrix:
+def generic_point_of_node(closed: TripleSet, supply: NameSupply | None = None) -> QMatrix:
     """A matrix whose good-triple set is exactly the given closed set.
 
     Solves the character equations over the quotient of the exponent
@@ -165,8 +155,8 @@ def generic_point_of_node(
     # are forced into it; those zero on the free columns lie in a torsion
     # coset of the span, and only a torsion character can obstruct them
     forced, free_zero_outside = [], []
-    for t, char in triple_chars(n).items():
-        if t in closed.triples:
+    for b, (t, char) in enumerate(triple_chars(n).items()):
+        if closed.mask >> b & 1:
             continue
         z = quotient.image(char)
         if quotient.is_zero(z):
@@ -182,7 +172,7 @@ def generic_point_of_node(
 
     # choose torsion characters separating every remaining outside triple
     total = prod(d for _, d in torsion_cols)
-    if total > max_torsion_search:
+    if total > TORSION_SEARCH_LIMIT:
         raise GenericPointError(f"component group too large to search ({total})")
     candidates = itertools.product(*(range(d) for _, d in torsion_cols))
     choice = next(

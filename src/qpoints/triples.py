@@ -5,23 +5,33 @@ spanned by the i-th, j-th and k-th coordinate points of projective n-space.
 Sets of triples are the universal currency of this package: they encode both
 the planes contained in a point variety and the planes excluded from one.
 
-Triple sets of a fixed ambient dimension are represented both as frozensets
-and as bitmasks over the lexicographic triple order, which makes the action
-of all (n+1)! coordinate permutations cheap enough to canonicalize millions
-of sets.
+A triple set of ambient dimension n is one integer bitmask: bit i stands
+for all_triples(n)[i], the lexicographic order.  The coordinate permutations
+act on masks through per-chunk lookup tables, so canonicalizing millions of
+sets is a few array gathers per permutation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 import numpy as np
 
 Triple = tuple[int, int, int]
+
+#: Highest bit a mask built by TripleSet.of may set: 2^27 bits is a 16 MiB
+#: integer, every triple up to n = 930.  Higher triples are refused.
+_MAX_MASK_BITS = 1 << 27
+
+#: Byte cap on the permutation lookup tables of one dimension.
+_TABLE_BYTES = 32 << 20
+
+#: Maps the digits of bin(mask) to the bytes 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def check_triple(t: Iterable[int], n: int) -> Triple:
@@ -33,6 +43,14 @@ def check_triple(t: Iterable[int], n: int) -> Triple:
     if not (0 <= i < j < k <= n):
         raise ValueError(f"triple {t!r} violates 0 <= i < j < k <= {n}")
     return (i, j, k)
+
+
+def triple_rank(t: Triple, n: int) -> int:
+    """Position of a valid triple in all_triples(n), without building it:
+    the triples before (i, j, k) start below i, or at i with a middle
+    index below j, or at (i, j) with a last index below k."""
+    i, j, k = t
+    return comb(n + 1, 3) - comb(n + 1 - i, 3) + comb(n - i, 2) - comb(n + 1 - j, 2) + k - j - 1
 
 
 @lru_cache(maxsize=None)
@@ -68,54 +86,56 @@ def permute_triple(perm: tuple[int, ...], t: Triple) -> Triple:
 
 
 @lru_cache(maxsize=None)
-def _perm_triple_tables(n: int) -> np.ndarray:
-    """Array [perm, triple_idx] -> image triple_idx."""
-    trips = all_triples(n)
-    idx = triple_index(n)
-    perms = permutations(n)
-    table = np.empty((len(perms), len(trips)), dtype=np.int64)
-    for p, perm in enumerate(perms):
-        for ti, t in enumerate(trips):
-            table[p, ti] = idx[permute_triple(perm, t)]
-    return table
+def _perm_mask_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Per-chunk lookup tables of the permutation action on masks.
 
-
-# Masks with more than _SPLIT bits are canonicalized through a pair of
-# lookup tables (low half, high half); n = 5 has 20 triple bits.
-_SPLIT = 10
-
-
-@lru_cache(maxsize=None)
-def _perm_mask_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-permutation lookup tables mapping mask halves to permuted masks.
-
-    Returns (lo, hi, split) where the image of mask m under permutation p is
-    lo[p, m & (2**split - 1)] | hi[p, m >> split].
+    The C(n+1, 3) triple bits are cut into the fewest chunks of one width w
+    whose tables fit in _TABLE_BYTES: one chunk for n <= 4, two of 10 bits
+    for n = 5, five of 7 bits for n = 6.  tables[c][v, p] is the image under
+    permutations(n)[p] of the mask v << (c * w), and the image of a mask is
+    the OR of its chunks' images.  The tables are read-only.
     """
-    nt = num_triples(n)
-    split = min(nt, _SPLIT)
-    table = _perm_triple_tables(n)
-    nperm = table.shape[0]
-    lo = np.zeros((nperm, 1 << split), dtype=np.int64)
-    hi = np.zeros((nperm, 1 << max(nt - split, 0)), dtype=np.int64)
-    bit_images = 1 << table  # [perm, triple] -> image bit
-    for m in range(1 << split):
-        if m == 0:
-            continue
-        b = (m & -m).bit_length() - 1
-        lo[:, m] = lo[:, m ^ (1 << b)] | bit_images[:, b]
-    for m in range(1 << max(nt - split, 0)):
-        if m == 0:
-            continue
-        b = (m & -m).bit_length() - 1
-        hi[:, m] = hi[:, m ^ (1 << b)] | bit_images[:, split + b]
-    return lo, hi, split
+    if n > 6:  # even 1-bit chunks overflow the cap: 36 MB at n = 7
+        raise ValueError(f"permutation tables exceed {_TABLE_BYTES >> 20} MiB beyond n = 6, got {n}")
+    nt, nperm = num_triples(n), factorial(n + 1)
+    chunks = next(k for k in itertools.count(1) if k * nperm * 8 << -(-nt // k) <= _TABLE_BYTES)
+    w = max(1, -(-nt // chunks))
+    # image triple index of every (triple, permutation), via an index cube
+    cube = np.zeros((n + 1,) * 3, dtype=np.int64)
+    trips = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3)
+    cube[tuple(trips.T)] = np.arange(nt)
+    images = np.sort(np.array(permutations(n)).T[trips], axis=1)
+    bit_images = np.left_shift(1, cube[images[:, 0], images[:, 1], images[:, 2]])
+    tables = []
+    for start in range(0, max(nt, 1), w):
+        table = np.zeros((1 << min(w, nt - start), nperm), dtype=np.int64)
+        for b in range(len(table).bit_length() - 1):
+            np.bitwise_or(table[:1 << b], bit_images[start + b], out=table[1 << b:2 << b])
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
-def mask_images(n: int, mask: int) -> np.ndarray:
-    """Images of a triple-set bitmask under every coordinate permutation."""
-    lo, hi, split = _perm_mask_tables(n)
-    return lo[:, mask & ((1 << split) - 1)] | hi[:, mask >> split]
+def mask_images(n: int, masks) -> np.ndarray:
+    """Images under every coordinate permutation of a triple-set bitmask
+    (an int), or of each mask in an int64 array ([mask, perm]): the OR over
+    chunks of table[chunk value]."""
+    tables = _perm_mask_tables(n)
+    w = len(tables[0]).bit_length() - 1
+    out = tables[0][masks & ((1 << w) - 1)]
+    for c in range(1, len(tables)):
+        out = out | tables[c][(masks >> (c * w)) & ((1 << w) - 1)]
+    return out
+
+
+def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """Orbit-minimal image of every mask in an int64 array, in blocks whose
+    images take about 1 MB."""
+    canon = np.empty(len(masks), dtype=np.int64)
+    step = max(1, (1 << 17) // _perm_mask_tables(n)[0].shape[1])
+    for i in range(0, len(masks), step):
+        mask_images(n, masks[i:i + step]).min(axis=1, out=canon[i:i + step])
+    return canon
 
 
 def canonical_mask(n: int, mask: int) -> int:
@@ -131,88 +151,83 @@ def canonical_mask_orbit(n: int, mask: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TripleSet:
-    """An immutable set of triples in a fixed ambient dimension.
+    """An immutable set of triples in a fixed ambient dimension: bit i of
+    mask stands for all_triples(n)[i].  The constructor trusts its mask;
+    TripleSet.of checks triples given from outside.
 
     Iteration is always in lexicographic order, so every consumer of a
     TripleSet is deterministic.
     """
 
     n: int
-    triples: frozenset[Triple] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        norm = frozenset(check_triple(t, self.n) for t in self.triples)
-        object.__setattr__(self, "triples", norm)
-
-    @classmethod
-    def from_valid(cls, n: int, triples: frozenset[Triple]) -> "TripleSet":
-        """A set of triples taken from all_triples(n), so not re-checked."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "triples", triples)
-        return obj
+    mask: int = 0
 
     @classmethod
     def of(cls, n: int, triples: Iterable[Iterable[int]] = ()) -> "TripleSet":
-        return cls(n, frozenset(tuple(t) for t in triples))
+        mask = 0
+        for t in triples:
+            t = check_triple(t, n)
+            rank = triple_rank(t, n)
+            if rank >= _MAX_MASK_BITS:
+                raise ValueError(f"triple {t!r} lies beyond the {_MAX_MASK_BITS}-bit mask limit")
+            mask |= 1 << rank
+        return cls(n, mask)
 
     @classmethod
     def empty(cls, n: int) -> "TripleSet":
-        return cls(n, frozenset())
+        return cls(n)
 
     @classmethod
     def full(cls, n: int) -> "TripleSet":
-        return cls(n, frozenset(all_triples(n)))
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> "TripleSet":
-        trips = all_triples(n)
-        return cls(n, frozenset(trips[i] for i in range(len(trips)) if mask >> i & 1))
+        return cls(n, (1 << num_triples(n)) - 1)
 
     @property
-    def mask(self) -> int:
-        idx = triple_index(self.n)
-        m = 0
-        for t in self.triples:
-            m |= 1 << idx[t]
-        return m
-
-    def sorted(self) -> tuple[Triple, ...]:
-        return tuple(sorted(self.triples))
+    def triples(self) -> frozenset[Triple]:
+        return frozenset(self)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self.sorted())
+        # combinations is lazy, so a low mask of a huge n stays cheap
+        selectors = bin(self.mask)[:1:-1].encode().translate(_BIT_VALUES)
+        return itertools.compress(itertools.combinations(range(self.n + 1), 3), selectors)
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self.mask.bit_count()
 
     def __contains__(self, t: object) -> bool:
-        return t in self.triples
+        i = triple_index(self.n).get(t)
+        return i is not None and self.mask >> i & 1 == 1
 
-    def __or__(self, other: "TripleSet | Iterable[Triple]") -> "TripleSet":
-        other_triples = other.triples if isinstance(other, TripleSet) else frozenset(other)
-        if isinstance(other, TripleSet) and other.n != self.n:
-            raise ValueError("ambient dimensions differ")
-        return TripleSet(self.n, self.triples | other_triples)
-
-    def __and__(self, other: "TripleSet") -> "TripleSet":
+    def _other_mask(self, other: "TripleSet | Iterable[Triple]") -> int:
+        if not isinstance(other, TripleSet):
+            other = TripleSet.of(self.n, other)
         if other.n != self.n:
             raise ValueError("ambient dimensions differ")
-        return TripleSet(self.n, self.triples & other.triples)
+        return other.mask
+
+    def __or__(self, other: "TripleSet | Iterable[Triple]") -> "TripleSet":
+        return TripleSet(self.n, self.mask | self._other_mask(other))
+
+    def __and__(self, other: "TripleSet | Iterable[Triple]") -> "TripleSet":
+        return TripleSet(self.n, self.mask & self._other_mask(other))
 
     def __sub__(self, other: "TripleSet | Iterable[Triple]") -> "TripleSet":
-        other_triples = other.triples if isinstance(other, TripleSet) else frozenset(other)
-        return TripleSet(self.n, self.triples - other_triples)
+        return TripleSet(self.n, self.mask & ~self._other_mask(other))
+
+    def links(self) -> list[list[int]]:
+        """links[a][b], for indices a != b: the bitmask of a, b and every c
+        such that the triple on {a, b, c} is in the set."""
+        link = [[(1 << a) | (1 << b) for b in range(self.n + 1)] for a in range(self.n + 1)]
+        for t in self:
+            for a, b, c in itertools.permutations(t):
+                link[a][b] |= 1 << c
+        return link
 
     def complement(self) -> "TripleSet":
-        return TripleSet(self.n, frozenset(all_triples(self.n)) - self.triples)
-
-    def add(self, t: Triple) -> "TripleSet":
-        return TripleSet(self.n, self.triples | {check_triple(t, self.n)})
+        return TripleSet(self.n, self.mask ^ ((1 << num_triples(self.n)) - 1))
 
     def apply(self, perm: tuple[int, ...]) -> "TripleSet":
         """Image under a permutation of the coordinates {0..n}."""
-        return TripleSet(self.n, frozenset(permute_triple(perm, t) for t in self.triples))
+        return TripleSet.of(self.n, (permute_triple(perm, t) for t in self))
 
     def canonical(self) -> "TripleSet":
         """Least set in the orbit under all coordinate permutations.
@@ -221,22 +236,15 @@ class TripleSet:
         result is a well-defined orbit representative (idempotent, constant
         on orbits).
         """
-        return TripleSet.from_mask(self.n, canonical_mask(self.n, self.mask))
-
-    def orbit_size(self) -> int:
-        return canonical_mask_orbit(self.n, self.mask)[1]
+        return TripleSet(self.n, canonical_mask(self.n, self.mask))
 
     def find_permutation_to(self, target: "TripleSet") -> tuple[int, ...] | None:
         """A permutation sending this set onto target, if one exists."""
-        if target.n != self.n or len(target) != len(self.triples):
+        if target.n != self.n or len(target) != len(self):
             return None
-        tmask = target.mask
-        images = mask_images(self.n, self.mask)
-        hits = np.nonzero(images == tmask)[0]
-        if len(hits) == 0:
-            return None
-        return permutations(self.n)[int(hits[0])]
+        hits = np.flatnonzero(mask_images(self.n, self.mask) == target.mask)
+        return permutations(self.n)[int(hits[0])] if len(hits) else None
 
     def __repr__(self) -> str:
-        body = ", ".join(str(t) for t in self.sorted())
+        body = ", ".join(str(t) for t in self)
         return f"TripleSet(n={self.n}, {{{body}}})"

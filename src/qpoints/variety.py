@@ -12,7 +12,6 @@ cross-checks the two descriptions against each other.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -109,7 +108,7 @@ def good_triples(Q: QMatrix) -> TripleSet:
             if c0 == 0:
                 b[:, 0] %= table.torsion_modulus
             good[r] = (b == 0).all(axis=1)
-    return TripleSet(n, frozenset(itertools.compress(all_triples(n), good.tolist())))
+    return TripleSet(n, int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little"))
 
 
 def is_rank_one(Q: QMatrix, S: Flat) -> bool:
@@ -161,11 +160,7 @@ def components(good: TripleSet) -> Configuration:
     of matrix good sets is not assumed.
     """
     n = good.n
-    # link[a][b]: a, b and every c for which the triple on {a, b, c} is good.
-    link = [[(1 << a) | (1 << b) for b in range(n + 1)] for a in range(n + 1)]
-    for t in good.triples:
-        for a, b, c in itertools.permutations(t):
-            link[a][b] |= 1 << c
+    link = good.links()  # a, b and every c for which the triple on {a, b, c} is good
     maximal: list[Flat] = []
 
     def grow(R: int, P: int, X: int, ext: dict[int, int]) -> None:

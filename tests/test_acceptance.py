@@ -297,7 +297,7 @@ def test_criterion_7d_closure_operator():
         ok = ok and quartet_saturate(J).triples <= cJ.triples
     # exhaustive agreement of rule and closure in four variables
     for mask in range(1 << 4):
-        J = TripleSet.from_mask(3, mask)
+        J = TripleSet(3, mask)
         ok = ok and quartet_saturate(J) == closure(J)
     report("criterion 7d (closure operator)", ok)
     assert ok

@@ -124,7 +124,7 @@ class TestEnumeration:
         for n in (2, 3, 4):
             masks = set(int(m) for m in adequate_masks(n))
             for mask in range(1 << len(all_triples(n))):
-                assert (mask in masks) == is_adequate(TripleSet.from_mask(n, mask))
+                assert (mask in masks) == is_adequate(TripleSet(n, mask))
 
     def test_orbit_sizes_divide_group_order(self):
         for n in (3, 4):

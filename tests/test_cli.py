@@ -391,12 +391,23 @@ class TestRealize:
                 assert line.endswith(" (generic-point)"), line
 
     def test_huge_n_fails_fast_with_exit_4(self, tmp_path, capsys):
+        # the loader ranks triples arithmetically, with no table of all triples
+        for triples in ([], [[0, 1, 2]]):
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({"n": 1000000000, "triples": triples}))
+            start = time.perf_counter()
+            assert main(["realize", str(path)]) == 4
+            assert time.perf_counter() - start < 2.0
+            assert "n <= 5" in capsys.readouterr().err
+
+    def test_triple_beyond_mask_limit_exits_3(self, tmp_path, capsys):
+        top = 1000000000
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"n": 1000000000, "triples": []}))
+        path.write_text(json.dumps({"n": top, "triples": [[top - 2, top - 1, top]]}))
         start = time.perf_counter()
-        assert main(["realize", str(path)]) == 4
+        assert main(["realize", str(path)]) == 3
         assert time.perf_counter() - start < 2.0
-        assert "n <= 5" in capsys.readouterr().err
+        assert "mask limit" in capsys.readouterr().err
 
     def test_missing_argument(self, capsys):
         with pytest.raises(SystemExit):
@@ -418,11 +429,12 @@ class TestSinksAndForced:
 
     @pytest.mark.parametrize("n", [-1, 1000000000])
     def test_forced_out_of_range_n_exits_3(self, tmp_path, capsys, n):
-        path = tmp_path / "range.json"
-        path.write_text(json.dumps({"n": n, "triples": []}))
-        start = time.perf_counter()
-        assert main(["forced", str(path)]) == 3
-        assert time.perf_counter() - start < 2.0
+        for triples in ([], [[0, 1, 2]]):
+            path = tmp_path / "range.json"
+            path.write_text(json.dumps({"n": n, "triples": triples}))
+            start = time.perf_counter()
+            assert main(["forced", str(path)]) == 3
+            assert time.perf_counter() - start < 2.0
 
     def test_forced_explicit_pins(self, tmp_path, capsys):
         path = write_collection(tmp_path, pentagonal_good_set(), "good.json")

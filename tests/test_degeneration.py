@@ -73,7 +73,7 @@ def scan_closed_reps(n: int) -> list[DegNode]:
             rep, rlat, count = by_canon[cm]
             by_canon[cm] = (rep, rlat, count + 1)
         else:
-            by_canon[cm] = (TripleSet.from_mask(n, mask), lat, 1)
+            by_canon[cm] = (TripleSet(n, mask), lat, 1)
     nodes = []
     for J, lat, count in by_canon.values():
         node = _node_from_closed(J, lat)

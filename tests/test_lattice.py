@@ -28,7 +28,7 @@ def closure_rule_gap(n):
     membership for that dimension."""
     gaps = []
     for mask in range(1 << num_triples(n)):
-        J = TripleSet.from_mask(n, mask)
+        J = TripleSet(n, mask)
         if quartet_saturate(J) != closure(J):
             gaps.append(J)
     return gaps
@@ -193,7 +193,7 @@ class TestQuartetSaturate:
             [(0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 3, 5), (2, 4, 5), (3, 4, 5)],
         )
         assert quartet_saturate(J) == J
-        assert closure(J) == J.add((0, 1, 2))
+        assert closure(J) == J | [(0, 1, 2)]
 
 
 class TestNodeLabel:

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qpoints
@@ -31,3 +32,25 @@ def test_smith_normal_form_called_only_in_lattice():
                 if name == "smith_normal_form":
                     found.append(f"{path.name}:{node.lineno}")
     assert len(found) == 1 and found[0].startswith("lattice.py:"), found
+
+
+def test_traced_names_exist():
+    # the benchmark tracer wraps these names by module attribute or class
+    # __dict__ entry, so deleting one breaks the benchmark before its refresh
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "METHODS")
+    }
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in tables["FUNCTIONS"]
+        if not callable(getattr(importlib.import_module(f"qpoints.{module}"), name, None))
+    ]
+    missing += [
+        f"{module}.{cls}.{name}"
+        for module, cls, name, _ in tables["METHODS"]
+        if name not in vars(getattr(importlib.import_module(f"qpoints.{module}"), cls))
+    ]
+    assert len(tables) == 2 and missing == []

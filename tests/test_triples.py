@@ -1,13 +1,20 @@
+import time
+
+import numpy as np
 import pytest
 
 from qpoints.triples import (
     TripleSet,
+    _perm_mask_tables,
     all_triples,
+    canonical_mask,
     canonical_mask_orbit,
+    canonical_masks,
     check_triple,
     num_triples,
     permutations,
     permute_triple,
+    triple_rank,
 )
 
 
@@ -26,27 +33,43 @@ class TestTripleValidation:
     def test_counts(self):
         assert len(all_triples(5)) == num_triples(5) == 20
 
+    def test_rank_is_lexicographic_position(self):
+        for n in range(9):
+            assert [triple_rank(t, n) for t in all_triples(n)] == list(range(num_triples(n)))
+
+    def test_of_rejects_bad_triples(self):
+        with pytest.raises(ValueError):
+            TripleSet.of(3, [(0, 1, 4)])
+        with pytest.raises(ValueError):
+            TripleSet.of(3, [(1, 0, 2)])
+
 
 class TestMasks:
     def test_mask_roundtrip(self, rng):
+        # bit i is all_triples(n)[i]; iteration follows bit order
         for _ in range(30):
             n = rng.randint(2, 5)
             trips = all_triples(n)
-            J = TripleSet.of(n, rng.sample(trips, rng.randint(0, len(trips))))
-            assert TripleSet.from_mask(n, J.mask) == J
+            sample = rng.sample(trips, rng.randint(0, len(trips)))
+            J = TripleSet.of(n, sample)
+            assert J.mask == sum(1 << trips.index(t) for t in sample)
+            assert tuple(J) == tuple(sorted(sample)) == tuple(sorted(J.triples))
+            assert len(J) == len(sample)
+            assert all((t in J) == (t in sample) for t in trips)
+            assert TripleSet(n, J.mask) == J
 
     def test_set_operations(self):
         a = TripleSet.of(3, [(0, 1, 2), (0, 1, 3)])
         b = TripleSet.of(3, [(0, 1, 3), (1, 2, 3)])
-        assert (a | b).sorted() == ((0, 1, 2), (0, 1, 3), (1, 2, 3))
-        assert (a & b).sorted() == ((0, 1, 3),)
-        assert (a - b).sorted() == ((0, 1, 2),)
+        assert tuple(a | b) == ((0, 1, 2), (0, 1, 3), (1, 2, 3))
+        assert tuple(a & b) == ((0, 1, 3),)
+        assert tuple(a - b) == ((0, 1, 2),)
         assert a.complement() | a == TripleSet.full(3)
 
 
 class TestCanonicalization:
     def test_matches_brute_force(self, rng):
-        # the half-mask lookup tables agree with directly permuting triples
+        # the chunked lookup tables agree with directly permuting triples
         for _ in range(25):
             n = rng.randint(2, 5)
             trips = all_triples(n)
@@ -61,6 +84,37 @@ class TestCanonicalization:
             J = TripleSet.of(n, rng.sample(trips, rng.randint(0, len(trips))))
             orbit = {J.apply(p).mask for p in permutations(n)}
             assert canonical_mask_orbit(n, J.mask)[1] == len(orbit)
+
+    def test_matches_brute_force_at_n6(self, rng):
+        # five 7-bit chunk tables; the orbit size divides 7! = 5040
+        perms = permutations(6)
+        for _ in range(3):
+            J = TripleSet.of(6, rng.sample(all_triples(6), rng.randint(1, 34)))
+            images = {J.apply(p).mask for p in perms}
+            canon, orbit = canonical_mask_orbit(6, J.mask)
+            assert canonical_mask(6, J.mask) == canon == min(images)
+            assert orbit == len(images) and 5040 % orbit == 0
+        assert TripleSet.full(6).canonical() == TripleSet.full(6)
+
+    def test_batch_matches_single(self, rng):
+        for n in (3, 5, 6):
+            masks = [rng.getrandbits(num_triples(n)) for _ in range(20)]
+            batch = canonical_masks(n, np.array(masks, dtype=np.int64))
+            assert batch.tolist() == [canonical_mask(n, m) for m in masks]
+
+    def test_table_sizes(self):
+        assert [t.shape for t in _perm_mask_tables(4)] == [(1024, 120)]
+        assert sum(t.nbytes for t in _perm_mask_tables(5)) == 11796480
+        assert [t.shape for t in _perm_mask_tables(6)] == [(128, 5040)] * 5
+        assert sum(t.nbytes for t in _perm_mask_tables(6)) <= 32 << 20
+
+    def test_n7_refused_before_building(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            TripleSet.full(7).canonical()
+        with pytest.raises(ValueError):
+            canonical_masks(7, np.zeros(1, dtype=np.int64))
+        assert time.perf_counter() - start < 1.0
 
     def test_find_permutation(self, rng):
         for _ in range(15):

@@ -52,7 +52,7 @@ def brute_force_components(good: TripleSet):
 
 def oracle_good_triples(Q):
     """Oracle for good_triples(): one obstruction scalar per triple."""
-    return TripleSet(Q.n, frozenset(t for t in all_triples(Q.n) if Q.b(t).is_one))
+    return TripleSet.of(Q.n, (t for t in all_triples(Q.n) if Q.b(t).is_one))
 
 
 def matrix(n, entries, modulus=2, names=None):
