@@ -22,10 +22,8 @@ from .adequacy import (
 from .degeneration import (
     DegGraph,
     DegNode,
-    SolutionFamily,
     build_graph,
     enumerate_nodes,
-    forced_solutions,
     sinks,
     to_dot,
 )
@@ -41,6 +39,8 @@ from .realize import (
     NotAdequateError,
     RealizationResult,
     RealizeAllSummary,
+    SolutionFamily,
+    forced_solutions,
     generic_point_of_node,
     realize,
     realize_all,

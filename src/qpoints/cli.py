@@ -21,13 +21,12 @@ from .degeneration import (
     BudgetError,
     build_graph,
     enumerate_nodes,
-    forced_solutions,
     graph_json_dict,
-    node_ids,
+    node_records,
     sinks,
     to_dot,
 )
-from .realize import NotAdequateError, RealizationError, realize, realize_all
+from .realize import NotAdequateError, RealizationError, forced_solutions, realize, realize_all
 from .scalars import MatrixFormatError, ScalarError, qmatrix_from_json
 from .triples import TripleSet
 from .variety import components, good_triples, ideal_generators
@@ -122,20 +121,7 @@ def cmd_enumerate(args) -> int:
     outputs: list[Path] = []
     if args.nodes:
         nodes = enumerate_nodes(args.n, long=args.long)
-        ids = node_ids(nodes)
-        lines = [
-            json.dumps(
-                {
-                    "id": nid,
-                    "label": node.label,
-                    "type": list(node.type_vector),
-                    "closed_set": [list(t) for t in node.closed_set],
-                    "orbit_size": node.orbit_size,
-                },
-                sort_keys=True,
-            )
-            for node, nid in zip(nodes, ids)
-        ]
+        lines = [json.dumps(rec, sort_keys=True) for rec in node_records(nodes)]
         summary = f"nodes={len(nodes)}"
     else:
         catalog = enumerate_adequate(args.n)
@@ -187,14 +173,14 @@ def cmd_realize(args) -> int:
                 print(f"class {i}: {status} ({result.method})")
             print(f"realized {summary.n_success}/{summary.n_classes}")
             return EXIT_OK if summary.n_success == summary.n_classes else EXIT_REALIZE_FAILED
-        try:
-            target = catalog.representatives[int(index)]
-        except (ValueError, IndexError):
+        reps = catalog.representatives
+        if not (index.isdecimal() and int(index) < len(reps)):
             print(
                 f"error: class index must be 0..{len(catalog) - 1} or 'all'",
                 file=sys.stderr,
             )
             return EXIT_PARSE
+        target = reps[int(index)]
     else:
         target = _load_collection(args.collection)
     try:
@@ -216,7 +202,7 @@ def cmd_realize(args) -> int:
         sys.stdout.write(body)
     print(
         "verified: achieved collection matches target"
-        f" ({len(result.achieved)} excluded planes)"
+        f" ({len(result.target)} excluded planes)"
     )
     return EXIT_OK
 
@@ -236,8 +222,12 @@ def cmd_forced(args) -> int:
     if args.pin:
         pins = []
         for chunk in args.pin.replace(";", " ").split():
-            i, j = chunk.split(",")
-            pins.append((int(i), int(j)))
+            try:
+                i, j = map(int, chunk.split(","))
+            except ValueError:
+                print(f"error: --pin takes integer pairs i,j, got {chunk!r}", file=sys.stderr)
+                return EXIT_PARSE
+            pins.append((i, j))
     else:
         # lazy, so forced_solutions rejects a huge n before the pins exist
         pins = ((i, good.n) for i in range(good.n))

@@ -9,33 +9,18 @@ inclusion of closed sets (larger closed set = smaller torus = bigger point
 variety), transitively reduced.  One traversal of the closure lattice builds
 both: adjoining one triple to a class representative and closing gives the
 next classes, and the transitive reduction of these one-step inclusions is
-the arrow set.
+the arrow set.  This module builds only the graph; the character equations
+b_t = 1 of a node are solved in realize (SolutionFamily).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .lattice import (
-    TORSION_SEARCH_LIMIT,
-    SubLattice,
-    closure,
-    node_label,
-    num_pairs,
-    pair_index,
-    pair_list,
-    triple_chars,
-)
-from .scalars import GroupScalar
-from .triples import (
-    TripleSet,
-    canonical_mask,
-    canonical_mask_orbit,
-)
+from .lattice import SubLattice, closure, node_label, num_pairs, triple_chars
+from .triples import TripleSet, canonical_mask, canonical_mask_orbit
 from .variety import components
 
 
@@ -214,106 +199,6 @@ def sinks(n: int, long: bool = False) -> list[DegNode]:
     return [node for node in enumerate_nodes(n, long=long) if node.label == 0]
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    """Solutions of a system b_t = 1 (t in a good set) plus normalizations.
-
-    The solution set of such a system is a torus of dimension free_rank
-    times a finite component group; torsion_orders lists the cyclic factors
-    and `exponent_columns[i]` the exponent vector (over pairs) its generator
-    contributes to the parameters.
-    """
-
-    n: int
-    free_rank: int
-    torsion_orders: tuple[int, ...]
-    exponent_columns: tuple[tuple[int, ...], ...]  # one column per torsion factor
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    @property
-    def count(self) -> int | None:
-        return prod(self.torsion_orders) if self.is_finite else None
-
-    def solutions(self) -> list[dict[tuple[int, int], GroupScalar]]:
-        """Explicit parameter assignments, when the solution set is finite
-        and has at most TORSION_SEARCH_LIMIT elements."""
-        if not self.is_finite:
-            raise ValueError("solution set is positive-dimensional")
-        if self.count > TORSION_SEARCH_LIMIT:
-            raise ValueError(
-                f"{self.count} solutions exceed the listing limit of {TORSION_SEARCH_LIMIT}"
-            )
-        m = lcm(*self.torsion_orders) if self.torsion_orders else 1
-        modulus = m if m > 1 else 2
-        pairs = pair_list(self.n)
-        out = []
-        for cand in itertools.product(*(range(d) for d in self.torsion_orders)):
-            assignment = {}
-            for p_idx, pair in enumerate(pairs):
-                phase = sum(
-                    (m // d) * c * col[p_idx]
-                    for d, c, col in zip(self.torsion_orders, cand, self.exponent_columns)
-                ) % m if self.torsion_orders else 0
-                assignment[pair] = GroupScalar((), phase, modulus)
-            out.append(assignment)
-        return out
-
-    def describe(self) -> str:
-        parts = []
-        if self.free_rank:
-            parts.append(f"torus of dimension {self.free_rank}")
-        for d in self.torsion_orders:
-            parts.append(f"Z/{d}")
-        if not parts:
-            parts.append("a single point")
-        return " x ".join(parts)
-
-
-def forced_solutions(
-    G: TripleSet, normalization: Iterable[tuple[int, int]] = ()
-) -> SolutionFamily:
-    """Solve b_t = 1 for all t in G, with selected parameters pinned to 1.
-
-    The normalization typically pins one parameter per degree of freedom of
-    the free rescaling torus (e.g. the last column q_in = 1); the result
-    then shows whether the remaining solutions are finite and what values
-    they force.
-    """
-    n = G.n
-    # The system has n(n+1)/2 unknowns, so an empty good set in a huge n
-    # would exhaust memory.  The full set is the slowest input: measured on
-    # a shared 2-vCPU host it takes 0.2 s at n = 16, 10 s at n = 30 and
-    # 260 s at n = 50, almost all in the pure-Python echelon and SNF steps.
-    if n > 50:
-        raise ValueError("forced solutions supported for n <= 50")
-    P = num_pairs(n)
-    idx = pair_index(n)
-    norm: list[tuple[int, int]] = []
-    for pair in normalization:
-        i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < j <= n):
-            raise ValueError(f"bad normalization pair {pair!r}")
-        if (i, j) in norm:
-            raise ValueError(f"duplicate normalization pair {pair!r}")
-        norm.append((i, j))
-    chars = triple_chars(n)
-    rows = itertools.chain(
-        (chars[t] for t in G),
-        ([int(p == idx[pair]) for p in range(P)] for pair in norm),
-    )
-    quotient = SubLattice.span(rows, P).quotient()
-    V = quotient.V
-    return SolutionFamily(
-        n,
-        len(quotient.free),
-        tuple(d for _, d in quotient.torsion),
-        tuple(tuple(V[p][i] % d for p in range(P)) for i, d in quotient.torsion),
-    )
-
-
 def to_dot(graph: DegGraph) -> str:
     """Graphviz rendering with stable ordering; node captions are
     "id (type)"."""
@@ -328,19 +213,24 @@ def to_dot(graph: DegGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def node_records(nodes: Sequence[DegNode]) -> list[dict]:
+    """One JSON record per node, keyed by its display id."""
+    return [
+        {
+            "id": nid,
+            "label": node.label,
+            "type": list(node.type_vector),
+            "closed_set": [list(t) for t in node.closed_set],
+            "orbit_size": node.orbit_size,
+        }
+        for node, nid in zip(nodes, node_ids(nodes))
+    ]
+
+
 def graph_json_dict(graph: DegGraph) -> dict:
     ids = graph.ids()
     return {
         "n": graph.n,
-        "nodes": [
-            {
-                "id": nid,
-                "label": node.label,
-                "type": list(node.type_vector),
-                "closed_set": [list(t) for t in node.closed_set],
-                "orbit_size": node.orbit_size,
-            }
-            for node, nid in zip(graph.nodes, ids)
-        ],
+        "nodes": node_records(graph.nodes),
         "arrows": [[ids[u], ids[v]] for (u, v) in graph.arrows],
     }

@@ -30,7 +30,7 @@ from test_realize import OBSTRUCTED
 
 from qpoints.adequacy import enumerate_adequate, is_adequate, non_dense_adequate
 from qpoints.cli import main
-from qpoints.degeneration import build_graph, enumerate_nodes, forced_solutions, sinks
+from qpoints.degeneration import build_graph, enumerate_nodes, sinks
 from qpoints.gallery import (
     block_matrix,
     p3_two_planes_matrix,
@@ -40,6 +40,7 @@ from qpoints.gallery import (
     transversal_collection,
 )
 from qpoints.lattice import closure, num_pairs, quartet_saturate
+from qpoints.realize import forced_solutions
 from qpoints.triples import TripleSet, all_triples
 from qpoints.variety import (
     good_triples,

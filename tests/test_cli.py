@@ -377,6 +377,14 @@ class TestRealize:
     def test_class_index(self, capsys):
         assert main(["realize", "--class", "3", "0"]) == 0
 
+    @pytest.mark.parametrize("index", ["-1", "-175", "175", "x"])
+    def test_class_index_out_of_range_exits_2(self, capsys, index):
+        # a negative index must not wrap around to a class from the end
+        assert main(["realize", "--class", "5", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "class index must be 0..174 or 'all'" in captured.err
+
     def test_class_all_reports_obstruction(self, capsys):
         assert main(["realize", "--class", "5", "all"]) == 5
         out = capsys.readouterr().out
@@ -440,3 +448,16 @@ class TestSinksAndForced:
         path = write_collection(tmp_path, pentagonal_good_set(), "good.json")
         assert main(["forced", path, "--pin", "0,5 1,5 2,5 3,5 4,5"]) == 0
         assert "solution set: Z/2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("chunk", ["0,1,2", "a,b", "0"])
+    def test_forced_malformed_pin_exits_2(self, tmp_path, capsys, chunk):
+        path = write_collection(tmp_path, pentagonal_good_set(), "good.json")
+        assert main(["forced", path, "--pin", f"0,5 {chunk}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(chunk) in captured.err
+
+    def test_forced_out_of_range_pin_exits_3(self, tmp_path, capsys):
+        path = write_collection(tmp_path, pentagonal_good_set(), "good.json")
+        assert main(["forced", path, "--pin", "0,9"]) == 3
+        assert "bad normalization pair" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -6,15 +7,12 @@ import pytest
 import random
 
 from conftest import snf_diagonal
-from qpoints import degeneration
 from qpoints.degeneration import (
     BudgetError,
     DegNode,
-    SolutionFamily,
     _node_from_closed,
     build_graph,
     enumerate_nodes,
-    forced_solutions,
     graph_json_dict,
     node_ids,
     sinks,
@@ -30,7 +28,7 @@ from qpoints.lattice import (
     smith_normal_form,
     triple_char,
 )
-from qpoints.realize import generic_point_of_node
+from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node
 from qpoints.scalars import NameSupply
 from qpoints.triples import TripleSet, all_triples, canonical_mask, mask_images, num_triples
 from qpoints.variety import good_triples
@@ -343,20 +341,31 @@ class TestForcedSolutions:
             family = forced_solutions(G, pins)
             assert family.free_rank == orders.count(0)
             assert family.torsion_orders == tuple(d for d in orders if d > 1)
-            assert family.exponent_columns == tuple(
+            W = family.quotient.V
+            assert tuple(
+                tuple(W[p][i] % d for p in range(P)) for i, d in family.quotient.torsion
+            ) == tuple(
                 tuple(V[p][i] % d for p in range(P)) for i, d in enumerate(orders) if d > 1
             )
 
     def test_solution_listing_is_bounded(self, monkeypatch):
-        columns = ((0, 0, 1), (0, 1, 0))
-        big = SolutionFamily(2, 0, (1000, 1000), columns)
+        def family(*orders):
+            # finite family over the three pairs of n = 2 whose quotient
+            # has the given torsion orders
+            diag = orders + (1,) * (3 - len(orders))
+            rows = [[d * (p == i) for p in range(3)] for i, d in enumerate(diag)]
+            return SolutionFamily(2, SubLattice.span(rows, 3).quotient())
+
+        big = family(1000, 1000)
+        assert big.torsion_orders == (1000, 1000)
         assert big.count > TORSION_SEARCH_LIMIT
         with pytest.raises(ValueError, match="listing limit"):
             big.solutions()
-        monkeypatch.setattr(degeneration, "TORSION_SEARCH_LIMIT", 4)
-        assert len(SolutionFamily(2, 0, (2, 2), columns).solutions()) == 4
+        realize_module = importlib.import_module("qpoints.realize")
+        monkeypatch.setattr(realize_module, "TORSION_SEARCH_LIMIT", 4)
+        assert len(family(2, 2).solutions()) == 4
         with pytest.raises(ValueError, match="listing limit of 4"):
-            SolutionFamily(2, 0, (2, 3), columns).solutions()
+            family(2, 3).solutions()
 
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from qpoints.adequacy import is_dense
 from qpoints.cli import main
+from qpoints.lattice import closure
 from qpoints.gallery import (
     block_matrix,
     p3_two_planes_collection,
@@ -19,7 +20,6 @@ from qpoints.realize import (
     NotAdequateError,
     RealizationError,
     _worker_count,
-    forced_good_triples,
     generic_point_of_node,
     realize,
     realize_all,
@@ -93,7 +93,7 @@ class TestRealize:
         assert not result.success
         assert result.method == "obstructed"
         assert "(0, 1, 2)" in result.detail
-        assert forced_good_triples(OBSTRUCTED) == [(0, 1, 2)]
+        assert list(closure(OBSTRUCTED.complement()) & OBSTRUCTED) == [(0, 1, 2)]
 
     def test_generic_point_failure_is_reported(self, monkeypatch):
         # the package re-exports realize(), which shadows the submodule name

@@ -34,6 +34,27 @@ def test_smith_normal_form_called_only_in_lattice():
     assert len(found) == 1 and found[0].startswith("lattice.py:"), found
 
 
+def test_torsion_limit_read_only_by_solution_family():
+    # one solver lists the torsion characters of b_t = 1, so the search
+    # limit is read in SolutionFamily.characters and nowhere else
+    package = Path(qpoints.__file__).parent
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name == "TORSION_SEARCH_LIMIT" and isinstance(child.ctx, ast.Load):
+                readers.add(".".join((path.stem,) + scope))
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), ())
+    assert readers == {"realize.SolutionFamily.characters"}, readers
+
+
 def test_traced_names_exist():
     # the benchmark tracer wraps these names by module attribute or class
     # __dict__ entry, so deleting one breaks the benchmark before its refresh
