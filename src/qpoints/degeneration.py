@@ -228,9 +228,10 @@ def node_records(nodes: Sequence[DegNode]) -> list[dict]:
 
 
 def graph_json_dict(graph: DegGraph) -> dict:
-    ids = graph.ids()
+    records = node_records(graph.nodes)
+    ids = [rec["id"] for rec in records]
     return {
         "n": graph.n,
-        "nodes": node_records(graph.nodes),
+        "nodes": records,
         "arrows": [[ids[u], ids[v]] for (u, v) in graph.arrows],
     }

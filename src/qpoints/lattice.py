@@ -204,6 +204,14 @@ class Quotient:
         self.free = tuple(i for i, d in enumerate(orders) if d == 0)
         self.torsion = tuple((i, d) for i, d in enumerate(orders) if d > 1)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quotient):
+            return NotImplemented
+        return (self.free, self.torsion, self.V) == (other.free, other.torsion, other.V)
+
+    def __hash__(self) -> int:
+        return hash((self.free, self.torsion, tuple(map(tuple, self.V))))
+
     def image(self, vec) -> list[int]:
         z = [0] * len(self.V)
         for v, row in zip(vec, self.V):

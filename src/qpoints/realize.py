@@ -177,7 +177,7 @@ class SolutionFamily:
         total = prod(self.torsion_orders)
         if total > TORSION_SEARCH_LIMIT:
             raise ValueError(
-                f"{total} solutions exceed the listing limit of {TORSION_SEARCH_LIMIT}"
+                f"{total} torsion characters exceed the listing limit of {TORSION_SEARCH_LIMIT}"
             )
         return itertools.product(*(range(d) for d in self.torsion_orders))
 

@@ -385,6 +385,13 @@ class TestRealize:
         assert captured.out == ""
         assert "class index must be 0..174 or 'all'" in captured.err
 
+    @pytest.mark.parametrize("n", ["x", "5.0", ""])
+    def test_class_dimension_not_an_integer_exits_2(self, capsys, n):
+        assert main(["realize", "--class", n, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"class dimension N must be an integer, got {n!r}" in captured.err
+
     def test_class_all_reports_obstruction(self, capsys):
         assert main(["realize", "--class", "5", "all"]) == 5
         out = capsys.readouterr().out

@@ -367,6 +367,13 @@ class TestForcedSolutions:
         with pytest.raises(ValueError, match="listing limit of 4"):
             family(2, 3).solutions()
 
+    def test_families_compare_by_value(self):
+        G = pentagonal_good_set()
+        pins = [(i, G.n) for i in range(G.n)]
+        a, b = forced_solutions(G, pins), forced_solutions(G, pins)
+        assert a == b and hash(a) == hash(b)
+        assert a != forced_solutions(G, pins[:-1])
+
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):
             forced_solutions(TripleSet.empty(3), [(1, 1)])

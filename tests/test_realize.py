@@ -108,6 +108,14 @@ class TestRealize:
         assert result.method == "generic-point"
         assert "component group too large" in result.detail
 
+    def test_search_limit_is_reported(self, monkeypatch):
+        realize_module = importlib.import_module("qpoints.realize")
+        monkeypatch.setattr(realize_module, "TORSION_SEARCH_LIMIT", 0)
+        result = realize(p3_two_planes_collection())
+        assert not result.success and result.method == "generic-point"
+        assert "component group too large to search" in result.detail
+        assert "torsion characters exceed the listing limit of 0" in result.detail
+
     def test_obstructed_class_is_adequate_and_dense(self):
         from qpoints.adequacy import is_adequate
 
