@@ -165,14 +165,12 @@ def cmd_graph(args) -> int:
 def cmd_realize(args) -> int:
     if args.cls is not None:
         n, index = args.cls
-        try:
-            n = int(n)
-        except ValueError:
+        if not n.removeprefix("-").isdecimal():
             print(f"error: class dimension N must be an integer, got {n!r}", file=sys.stderr)
             return EXIT_PARSE
-        catalog = enumerate_adequate(n)
+        catalog = enumerate_adequate(int(n))
         if str(index) == "all":
-            summary = realize_all(n, threads=args.threads)
+            summary = realize_all(int(n), threads=args.threads)
             for i, result in enumerate(summary.results):
                 status = "ok" if result.success else "FAILED"
                 print(f"class {i}: {status} ({result.method})")

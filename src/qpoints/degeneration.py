@@ -229,9 +229,8 @@ def node_records(nodes: Sequence[DegNode]) -> list[dict]:
 
 def graph_json_dict(graph: DegGraph) -> dict:
     records = node_records(graph.nodes)
-    ids = [rec["id"] for rec in records]
     return {
         "n": graph.n,
         "nodes": records,
-        "arrows": [[ids[u], ids[v]] for (u, v) in graph.arrows],
+        "arrows": [[records[u]["id"], records[v]["id"]] for (u, v) in graph.arrows],
     }
