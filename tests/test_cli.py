@@ -377,20 +377,17 @@ class TestRealize:
     def test_class_index(self, capsys):
         assert main(["realize", "--class", "3", "0"]) == 0
 
-    @pytest.mark.parametrize("index", ["-1", "-175", "175", "x"])
-    def test_class_index_out_of_range_exits_2(self, capsys, index):
+    @pytest.mark.parametrize(
+        "n, index, message",
         # a negative index must not wrap around to a class from the end
-        assert main(["realize", "--class", "5", index]) == 2
+        [("5", i, "class index must be 0..174 or 'all'") for i in ("-1", "-175", "175", "x")]
+        + [(n, "0", f"class dimension N must be an integer, got {n!r}") for n in ("x", "5.0", "")],
+    )
+    def test_bad_class_exits_2(self, capsys, n, index, message):
+        assert main(["realize", "--class", n, index]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "class index must be 0..174 or 'all'" in captured.err
-
-    @pytest.mark.parametrize("n", ["x", "5.0", ""])
-    def test_class_dimension_not_an_integer_exits_2(self, capsys, n):
-        assert main(["realize", "--class", n, "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"class dimension N must be an integer, got {n!r}" in captured.err
+        assert message in captured.err
 
     def test_class_all_reports_obstruction(self, capsys):
         assert main(["realize", "--class", "5", "all"]) == 5
