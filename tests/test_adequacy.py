@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import factorial
@@ -14,6 +15,7 @@ from qpoints.adequacy import (
     is_dense,
     non_dense_adequate,
 )
+from qpoints.cli import main
 from qpoints.gallery import pentagonal_collection, transversal_collection
 from qpoints.triples import TripleSet, all_triples, permutations
 from qpoints.variety import good_triples
@@ -174,3 +176,16 @@ class TestNonDense:
         recs = enumerate_adequate(4).records()
         assert all(rec["dense"] or not rec["triples"] for rec in recs)
         assert sum(rec["orbit_size"] for rec in recs) == 314
+
+
+class TestPinnedCatalog:
+    # SHA-256 of the stdout of `enumerate N --adequate`, N = 0..5; a change
+    # to any class, orbit size or the catalog order shows up here
+    ENUMERATE_ADEQUATE = "5a11dca2e7d7a929268119640c4de743d9fc5c1e77316b553f0ef7da70cd74d2"
+
+    def test_enumerate_adequate_outputs(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(6):
+            code = main(["enumerate", str(n), "--adequate"])
+            digest.update(f"{n} {code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == self.ENUMERATE_ADEQUATE
