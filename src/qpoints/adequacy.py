@@ -6,9 +6,9 @@ necessary condition.  Denseness is a stronger condition, kept for the
 classification (the catalog's dense flag and the two non-dense classes at
 n = 5); realization does not depend on it, only on whether the complement
 is closed under the character span.  The enumerator tests adequacy on all
-2^C(n+1,3) collection masks at once, one array pass per witness, and
-groups the adequate ones into orbits of the coordinate symmetry with the
-batch canonicalization of the triples module.
+2^C(n+1,3) collection masks at once, one AND of two half-mask words per
+mask, and walks the adequate ones in ascending order: the first mask met in
+an orbit is its minimum, the canonical form (Read's orderly generation).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .triples import TripleSet, all_triples, canonical_masks, num_triples, triple_index
+from .triples import TripleSet, all_triples, mask_images, num_triples, triple_index
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -81,12 +81,9 @@ class OrbitCatalog:
 
 @lru_cache(maxsize=None)
 def _witness_masks(n: int) -> list[tuple[int, int]]:
-    """Pairs (member_bit_mask_selector, witness_mask) flattened over all
-    (index i, triple t) with i outside t.
-
-    A collection mask C is adequate iff for every entry with C having the
-    member bit set, C also meets the witness mask.
-    """
+    """Pairs (t, witness_mask) over all (index i, triple t) with i outside
+    t; t is the member's bit index.  A collection mask C is adequate iff for
+    every entry with bit t of C set, C also meets the witness mask."""
     idx = triple_index(n)
     out = []
     for i in range(n + 1):
@@ -101,33 +98,44 @@ def _witness_masks(n: int) -> list[tuple[int, int]]:
 
 
 def adequate_masks(n: int) -> np.ndarray:
-    """Bitmasks of all adequate collections, ascending."""
+    """Bitmasks of all adequate collections, ascending.
+
+    Witness term k fails on the mask h << lo | l iff it fails on the high
+    half h and on the low half l (lo = nt // 2 bits), so with bit k of a
+    half's word set when term k fails there, the mask is inadequate iff
+    high[h] & low[l] != 0.  The budget admits n <= 5: at most
+    (n-2) * C(n+1,3) = 60 terms, which fit one uint64 word.
+    """
     nt = num_triples(n)
     if nt > 25:
         raise ValueError(f"enumeration over 2^{nt} collections is out of budget")
-    masks = np.arange(1 << nt, dtype=np.int64)
-    bad = np.zeros(masks.shape, dtype=bool)
-    for t, witness in _witness_masks(n):
-        bad |= ((masks >> t) & 1).astype(bool) & ((masks & witness) == 0)
-    return masks[~bad]
+    lo = nt // 2
+    high, low = (np.zeros(1 << bits, dtype=np.uint64) for bits in (nt - lo, lo))
+    for words, shift in ((high, lo), (low, 0)):
+        half = np.arange(len(words))
+        for k, (t, witness) in enumerate(_witness_masks(n)):
+            member = (1 << t >> shift) & (len(words) - 1)  # 0 if t lies in the other half
+            words[((half & member) == member) & ((half & witness >> shift) == 0)] |= np.uint64(1 << k)
+    return np.flatnonzero((high[:, None] & low) == 0)
 
 
 @lru_cache(maxsize=None)
 def enumerate_adequate(n: int) -> OrbitCatalog:
-    """Catalog of all adequate collections up to coordinate symmetry."""
+    """Catalog of all adequate collections up to coordinate symmetry, in
+    ascending order of canonical mask; one orbit computation per class."""
     if n < 0:
         raise ValueError(f"dimension index n must be >= 0, got {n}")
     if n > 5:
         raise ValueError("adequate enumeration supported for n <= 5")
-    masks = adequate_masks(n)
-    reps, counts = np.unique(canonical_masks(n, masks), return_counts=True)
-    representatives = tuple(TripleSet(n, int(m)) for m in reps)
-    return OrbitCatalog(
-        n=n,
-        representatives=representatives,
-        orbit_sizes=tuple(int(c) for c in counts),
-        total=int(len(masks)),
-    )
+    masks, reps, sizes = adequate_masks(n), [], []
+    unseen = np.ones(1 << num_triples(n), dtype=bool)
+    for m in masks.tolist():
+        if unseen[m]:
+            images = mask_images(n, m)
+            unseen[images] = False
+            reps.append(TripleSet(n, m))
+            sizes.append(len(images) // int(np.count_nonzero(images == m)))
+    return OrbitCatalog(n, tuple(reps), tuple(sizes), len(masks))
 
 
 def non_dense_adequate(n: int) -> list[Collection]:

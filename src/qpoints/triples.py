@@ -7,8 +7,8 @@ the planes contained in a point variety and the planes excluded from one.
 
 A triple set of ambient dimension n is one integer bitmask: bit i stands
 for all_triples(n)[i], the lexicographic order.  The coordinate permutations
-act on masks through per-chunk lookup tables, so canonicalizing millions of
-sets is a few array gathers per permutation.
+act on masks through per-chunk lookup tables, so the images of a set under
+every permutation are a few array gathers.
 """
 
 from __future__ import annotations
@@ -126,16 +126,6 @@ def mask_images(n: int, masks) -> np.ndarray:
     for c in range(1, len(tables)):
         out = out | tables[c][(masks >> (c * w)) & ((1 << w) - 1)]
     return out
-
-
-def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Orbit-minimal image of every mask in an int64 array, in blocks whose
-    images take about 1 MB."""
-    canon = np.empty(len(masks), dtype=np.int64)
-    step = max(1, (1 << 17) // _perm_mask_tables(n)[0].shape[1])
-    for i in range(0, len(masks), step):
-        mask_images(n, masks[i:i + step]).min(axis=1, out=canon[i:i + step])
-    return canon
 
 
 def canonical_mask(n: int, mask: int) -> int:

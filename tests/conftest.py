@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qpoints.adequacy import _witness_masks
 from qpoints.realize import generic_point_of_node
 from qpoints.lattice import closure, span
 from qpoints.scalars import GroupScalar, NameSupply, QMatrix
-from qpoints.triples import Triple, TripleSet, all_triples
+from qpoints.triples import Triple, TripleSet, _perm_mask_tables, all_triples, mask_images, num_triples
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131]
@@ -59,6 +61,26 @@ def prime_assignment(Q: QMatrix) -> dict[str, int]:
     """Distinct primes per generator; exactness makes this a faithful
     numeric oracle (unique factorization)."""
     return {g: PRIMES[i] for i, g in enumerate(Q.table.names)}
+
+
+def row_sweep_adequate_masks(n: int) -> np.ndarray:
+    """Adequate collection masks, ascending, by one pass over all
+    2^C(n+1,3) masks per witness term (oracle for adequate_masks)."""
+    masks = np.arange(1 << num_triples(n), dtype=np.int64)
+    bad = np.zeros(masks.shape, dtype=bool)
+    for t, witness in _witness_masks(n):
+        bad |= ((masks >> t) & 1).astype(bool) & ((masks & witness) == 0)
+    return masks[~bad]
+
+
+def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """Orbit-minimal image of every mask in an int64 array, in blocks whose
+    images take about 1 MB (batch oracle for canonicalization)."""
+    canon = np.empty(len(masks), dtype=np.int64)
+    step = max(1, (1 << 17) // _perm_mask_tables(n)[0].shape[1])
+    for i in range(0, len(masks), step):
+        mask_images(n, masks[i:i + step]).min(axis=1, out=canon[i:i + step])
+    return canon
 
 
 @pytest.fixture

@@ -3,12 +3,14 @@ import itertools
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qmatrix, random_structured_qmatrix
+from conftest import canonical_masks, random_qmatrix, random_structured_qmatrix, row_sweep_adequate_masks
 from qpoints.adequacy import (
     OrbitCatalog,
+    _witness_masks,
     adequate_masks,
     enumerate_adequate,
     is_adequate,
@@ -17,7 +19,7 @@ from qpoints.adequacy import (
 )
 from qpoints.cli import main
 from qpoints.gallery import pentagonal_collection, transversal_collection
-from qpoints.triples import TripleSet, all_triples, permutations
+from qpoints.triples import TripleSet, all_triples, num_triples, permutations
 from qpoints.variety import good_triples
 
 
@@ -127,6 +129,27 @@ class TestEnumeration:
             masks = set(int(m) for m in adequate_masks(n))
             for mask in range(1 << len(all_triples(n))):
                 assert (mask in masks) == is_adequate(TripleSet(n, mask))
+
+    def test_sweep_matches_row_sweep(self):
+        for n in range(6):
+            assert adequate_masks(n).tolist() == row_sweep_adequate_masks(n).tolist()
+
+    def test_walk_matches_batch_canonicalization(self):
+        for n in range(6):
+            masks = adequate_masks(n)
+            reps, counts = np.unique(canonical_masks(n, masks), return_counts=True)
+            catalog = enumerate_adequate(n)
+            assert [rep.mask for rep in catalog.representatives] == reps.tolist()
+            assert list(catalog.orbit_sizes) == counts.tolist()
+            assert catalog.total == len(masks)
+
+    def test_witness_terms_fit_one_word(self):
+        # the sweep packs one bit per witness term into a uint64 word
+        admitted = [n for n in range(8) if num_triples(n) <= 25]
+        assert admitted == list(range(6))
+        assert all(len(_witness_masks(n)) <= 64 for n in admitted)
+        with pytest.raises(ValueError):
+            adequate_masks(6)
 
     def test_orbit_sizes_divide_group_order(self):
         for n in (3, 4):

@@ -3,14 +3,15 @@ import time
 import numpy as np
 import pytest
 
+from conftest import canonical_masks
 from qpoints.triples import (
     TripleSet,
     _perm_mask_tables,
     all_triples,
     canonical_mask,
     canonical_mask_orbit,
-    canonical_masks,
     check_triple,
+    mask_images,
     num_triples,
     permutations,
     permute_triple,
@@ -113,7 +114,7 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             TripleSet.full(7).canonical()
         with pytest.raises(ValueError):
-            canonical_masks(7, np.zeros(1, dtype=np.int64))
+            mask_images(7, 0)
         assert time.perf_counter() - start < 1.0
 
     def test_find_permutation(self, rng):
