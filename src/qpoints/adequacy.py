@@ -110,7 +110,7 @@ def adequate_masks(n: int) -> np.ndarray:
     if nt > 25:
         raise ValueError(f"enumeration over 2^{nt} collections is out of budget")
     lo = nt // 2
-    high, low = (np.zeros(1 << bits, dtype=np.uint64) for bits in (nt - lo, lo))
+    high, low = np.zeros(1 << (nt - lo), dtype=np.uint64), np.zeros(1 << lo, dtype=np.uint64)
     for words, shift in ((high, lo), (low, 0)):
         half = np.arange(len(words))
         for k, (t, witness) in enumerate(_witness_masks(n)):
