@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 import random
 
 from conftest import snf_diagonal
+from qpoints.cli import main
 from qpoints.degeneration import (
     BudgetError,
     DegNode,
@@ -397,6 +399,15 @@ class TestOutputs:
         assert [node["id"] for node in data["nodes"]] == ["0", "1", "2", "3"]
         assert ["3", "2"] in data["arrows"]
         assert data["nodes"][0]["orbit_size"] == 1
+
+    # SHA-256 of the stdout of `graph 5 --long --json`; a change to any
+    # node, orbit size, display id or arrow shows up here
+    GRAPH_5_LONG_JSON = "3c1d52952fcd5733c2c619f4f70af0f8ae3bf4835dc87a27aced1d0c8bf5c78b"
+
+    def test_graph_5_json_output(self, capsys):
+        assert main(["graph", "5", "--long", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GRAPH_5_LONG_JSON
 
 
 class TestSemanticRoundTrip:
