@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .triples import TripleSet, all_triples, mask_images, num_triples, triple_index
+from .triples import TripleSet, mask_images, num_triples, quartet_masks
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -32,7 +32,9 @@ def is_adequate(C: Collection) -> bool:
     For every index i and every member plane, some pair inside the member
     must extend through i to another member.  When i lies in the member the
     member itself witnesses the condition.  So the links of the three
-    pairs of each member must cover every index.
+    pairs of each member must cover every index.  Read on tetrahedra: C is
+    adequate iff no tetrahedron has exactly one face in C, i.e. iff the
+    complement of C is closed under the four-index rule (quartet_saturate).
     """
     link, full = C.links(), (1 << (C.n + 1)) - 1
     return all(link[j][k] | link[j][l] | link[k][l] == full for j, k, l in C)
@@ -79,22 +81,17 @@ class OrbitCatalog:
         ]
 
 
-@lru_cache(maxsize=None)
 def _witness_masks(n: int) -> list[tuple[int, int]]:
-    """Pairs (t, witness_mask) over all (index i, triple t) with i outside
-    t; t is the member's bit index.  A collection mask C is adequate iff for
-    every entry with bit t of C set, C also meets the witness mask."""
-    idx = triple_index(n)
-    out = []
-    for i in range(n + 1):
-        for t, (a, b, c) in enumerate(all_triples(n)):
-            if i in (a, b, c):
-                continue
-            witness = 0
-            for (u, v) in ((a, b), (a, c), (b, c)):
-                witness |= 1 << idx[tuple(sorted((i, u, v)))]
-            out.append((t, witness))
-    return out
+    """Pairs (t, witness_mask), one per face t of each tetrahedron, the
+    witness mask holding its other three faces: the (index i, triple t)
+    terms with i outside t.  A collection mask C is adequate iff for every
+    entry with bit t of C set, C also meets the witness mask."""
+    return [
+        (t, quartet & ~(1 << t))
+        for quartet in quartet_masks(n)
+        for t in range(num_triples(n))
+        if quartet >> t & 1
+    ]
 
 
 def adequate_masks(n: int) -> np.ndarray:

@@ -170,7 +170,7 @@ def cmd_realize(args) -> int:
             return EXIT_PARSE
         catalog = enumerate_adequate(int(n))
         if str(index) == "all":
-            summary = realize_all(int(n), threads=args.threads)
+            summary = realize_all(int(n))
             for i, result in enumerate(summary.results):
                 status = "ok" if result.success else "FAILED"
                 print(f"class {i}: {status} ({result.method})")
@@ -253,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Point varieties of quantum polynomial algebras: "
         "exact computation, enumeration, degeneration graphs, realization.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for realize --class N all (capped at the CPU and class counts)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pts", help="point variety of a matrix JSON file")

@@ -9,7 +9,9 @@ inclusion of closed sets (larger closed set = smaller torus = bigger point
 variety), transitively reduced.  One traversal of the closure lattice builds
 both: adjoining one triple to a class representative and closing gives the
 next classes, and the transitive reduction of these one-step inclusions is
-the arrow set.  This module builds only the graph; the character equations
+the arrow set.  The four-index rule (quartet_saturate) does most of each
+closing; the exact lattice closure runs once per class of its result.
+This module builds only the graph; the character equations
 b_t = 1 of a node are solved in realize (SolutionFamily).
 """
 
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .lattice import SubLattice, closure, node_label, num_pairs, triple_chars
-from .triples import TripleSet, canonical_mask, canonical_mask_orbit
+from .lattice import closure, node_label, quartet_saturate
+from .triples import TripleSet, canonical_mask, canonical_mask_orbit, num_triples
 from .variety import components
 
 
@@ -51,9 +53,6 @@ class DegGraph:
     def ids(self) -> tuple[str, ...]:
         return node_ids(self.nodes)
 
-    def sinks(self) -> list[DegNode]:
-        return [node for node in self.nodes if node.label == 0]
-
 
 def _letters(k: int) -> str:
     out = ""
@@ -82,12 +81,12 @@ def node_ids(nodes: Sequence[DegNode]) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _node_from_closed(closed: TripleSet, lat: SubLattice) -> DegNode:
+def _node_from_closed(closed: TripleSet) -> DegNode:
     n = closed.n
     cm, orbit = canonical_mask_orbit(n, closed.mask)
     return DegNode(
         closed_set=TripleSet(n, cm),
-        label=node_label(closed, lat),
+        label=node_label(closed),
         type_vector=components(closed).type_vector,
         orbit_size=orbit,
     )
@@ -97,40 +96,39 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     """Closed-set classes and one-step inclusions by closure-lattice
     traversal with symmetry pruning.
 
-    Starting from the empty (closed) set, adjoin one triple t to a class
-    representative K and close: L = closure(K + t).  Every closed class is
-    reached this way because dropping one element of a minimal generating
-    set yields a smaller closed set.  Each step records the canonical masks
-    (K, L).  These pairs hold every cover: if L covers K, then
-    L = closure(K + t) for any t in L but not in K.  They may hold
-    non-covers too.
+    Starting from the empty (closed) set, adjoin one triple t to a canonical
+    class representative K and close.  Every closed class is reached this
+    way because dropping one element of a minimal generating set yields a
+    smaller closed set.  The closing takes two steps.  First the four-index
+    rule: L = quartet_saturate(K + t) lies between K + t and closure(K + t),
+    so closure(L) = closure(K + t).  Then the exact lattice closure, once
+    per canonical class of L: closure commutes with the coordinate
+    permutations, so the class of L fixes the class of its closure.  Each
+    step records the canonical masks (K, closure(K + t)).  These pairs hold
+    every cover: if M covers K, then M = closure(K + t) for any t in M but
+    not in K.  They may hold non-covers too.
     """
-    P = num_pairs(n)
-    chars = triple_chars(n).values()
-    empty = TripleSet.empty(n)
-    nodes = [_node_from_closed(empty, SubLattice(P))]
-    canonical = {0: 0}  # raw closed mask -> canonical mask
-    seen_canonical = {0}
+    nodes = [_node_from_closed(TripleSet.empty(n))]
+    closed_class: dict[int, int] = {}  # canonical L -> canonical closure(L)
+    seen = {0}
     steps: set[tuple[int, int]] = set()
-    frontier: list[tuple[TripleSet, SubLattice, int]] = [(empty, SubLattice(P), 0)]
+    frontier = [0]
     while frontier:
-        next_frontier: list[tuple[TripleSet, SubLattice, int]] = []
-        for K, lat, k_cm in frontier:
-            for b, char in enumerate(chars):
-                if K.mask >> b & 1:
+        next_frontier = []
+        for k in frontier:
+            for b in range(num_triples(n)):
+                if k >> b & 1:
                     continue
-                lat2 = lat.copy()
-                lat2.add(char)
-                L = closure(K, lat2)
-                lm = L.mask
-                cm = canonical.get(lm)
+                lm = canonical_mask(n, quartet_saturate(TripleSet(n, k | 1 << b)).mask)
+                cm = closed_class.get(lm)
                 if cm is None:
-                    cm = canonical[lm] = canonical_mask(n, lm)
-                    if cm not in seen_canonical:
-                        seen_canonical.add(cm)
-                        nodes.append(_node_from_closed(L, lat2))
-                        next_frontier.append((L, lat2, cm))
-                steps.add((k_cm, cm))
+                    closed = closure(TripleSet(n, lm))
+                    cm = closed_class[lm] = canonical_mask(n, closed.mask)
+                    if cm not in seen:
+                        seen.add(cm)
+                        nodes.append(_node_from_closed(closed))
+                        next_frontier.append(cm)
+                steps.add((k, cm))
         frontier = next_frontier
     return nodes, steps
 

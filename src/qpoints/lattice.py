@@ -21,7 +21,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
-from .triples import Triple, TripleSet, all_triples, check_triple, triple_index
+from .triples import Triple, TripleSet, all_triples, check_triple, quartet_masks
 
 
 #: Largest finite component group, as a product of torsion orders, that is
@@ -94,12 +94,6 @@ class SubLattice:
         for v in vectors:
             lat.add(v)
         return lat
-
-    def copy(self) -> "SubLattice":
-        other = SubLattice(self.dim)
-        other.rows = [row.copy() for row in self.rows]
-        other.pivots = self.pivots.copy()
-        return other
 
     @property
     def rank(self) -> int:
@@ -230,15 +224,14 @@ def span(J: TripleSet) -> SubLattice:
     return SubLattice.span((chars[t] for t in J), num_pairs(J.n))
 
 
-def closure(J: TripleSet, _lat: SubLattice | None = None) -> TripleSet:
+def closure(J: TripleSet) -> TripleSet:
     """Largest triple set cutting out the same sub-torus as J.
 
     A triple belongs to the closure exactly when its character is an integer
     combination of the characters of J.  The operator is extensive, monotone
-    and idempotent.  A given lattice replaces span(J): the result is then J
-    plus every triple whose character lies in that lattice.
+    and idempotent.
     """
-    lat = span(J) if _lat is None else _lat
+    lat = span(J)
     mask = J.mask
     for b, char in enumerate(triple_chars(J.n).values()):
         if not mask >> b & 1 and lat.contains(char):
@@ -247,35 +240,32 @@ def closure(J: TripleSet, _lat: SubLattice | None = None) -> TripleSet:
 
 
 def quartet_saturate(J: TripleSet) -> TripleSet:
-    """Least fixed point of the four-index completion rule.
+    """Least fixed point of the four-index (tetrahedron) rule.
 
-    Among any four indices i < j < k < l the four triple characters satisfy
-    one linear relation, so whenever three of the four triples are present
-    the fourth is forced.  Always contained in closure(J).
+    The four faces of a tetrahedron i < j < k < l have characters whose
+    alternating sum is zero (the boundary of a boundary), so whenever three
+    faces are present the fourth is forced.  The result lies between J and
+    closure(J) and has the same closure, which makes this the cheap first
+    closure of the degeneration traversal; its fixed points are exactly
+    the complements of the adequate collections.
     """
-    n, mask = J.n, J.mask
-    idx = triple_index(n)
-    quartets = [
-        [idx[t] for t in itertools.combinations(quad, 3)]
-        for quad in itertools.combinations(range(n + 1), 4)
-    ]
+    mask = J.mask
     changed = True
     while changed:
         changed = False
-        for bits in quartets:
-            missing = [b for b in bits if not mask >> b & 1]
-            if len(missing) == 1:
-                mask |= 1 << missing[0]
+        for quartet in quartet_masks(J.n):
+            missing = quartet & ~mask
+            if missing and not missing & (missing - 1):
+                mask |= missing
                 changed = True
-    return TripleSet(n, mask)
+    return TripleSet(J.n, mask)
 
 
-def node_label(J: TripleSet, _lat: SubLattice | None = None) -> int:
+def node_label(J: TripleSet) -> int:
     """Dimension of the sub-torus cut out by J, minus the n dimensions of
     the everywhere-free rescaling action.  The commutative node has label 0;
     the fully generic node has the largest label."""
-    lat = span(J) if _lat is None else _lat
-    return num_pairs(J.n) - lat.rank - J.n
+    return num_pairs(J.n) - span(J).rank - J.n
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -18,7 +18,6 @@ forced solutions of a good set under pinned parameters (forced_solutions).
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
@@ -114,24 +113,10 @@ class RealizeAllSummary:
         return sum(1 for r in self.results if r.success)
 
 
-def _worker_count(threads: int, tasks: int) -> int:
-    """Worker processes worth starting: no more than requested, than CPUs,
-    or than tasks, and at least one."""
-    return max(1, min(threads, os.cpu_count() or 1, tasks))
-
-
-def realize_all(n: int, threads: int = 1) -> RealizeAllSummary:
+def realize_all(n: int) -> RealizeAllSummary:
     """Run the realization on every adequate orbit class of dimension n."""
     catalog = enumerate_adequate(n)
-    reps = catalog.representatives
-    workers = _worker_count(threads, len(reps))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(realize, reps, chunksize=8))
-    else:
-        results = tuple(realize(rep) for rep in reps)
+    results = tuple(realize(rep) for rep in catalog.representatives)
     return RealizeAllSummary(n, results, catalog.orbit_sizes)
 
 

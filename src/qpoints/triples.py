@@ -69,6 +69,17 @@ def num_triples(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def quartet_masks(n: int) -> tuple[int, ...]:
+    """The tetrahedron table: one mask per 4-subset of {0..n}, in
+    lexicographic order, holding the bits of its four faces."""
+    idx = triple_index(n)
+    return tuple(
+        sum(1 << idx[t] for t in itertools.combinations(quad, 3))
+        for quad in itertools.combinations(range(n + 1), 4)
+    )
+
+
+@lru_cache(maxsize=None)
 def permutations(n: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of {0..n}, as image tuples."""
     return tuple(itertools.permutations(range(n + 1)))

@@ -1,8 +1,10 @@
 import random
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import kernel_rank, snf_diagonal
+from qpoints.adequacy import enumerate_adequate, is_adequate
 from qpoints.degeneration import enumerate_nodes
 from qpoints.lattice import (
     SubLattice,
@@ -17,7 +19,7 @@ from qpoints.lattice import (
 )
 from qpoints.realize import generic_point_of_node
 from qpoints.scalars import NameSupply
-from qpoints.triples import TripleSet, all_triples, num_triples
+from qpoints.triples import TripleSet, all_triples, num_triples, quartet_masks
 from qpoints.variety import good_triples
 
 
@@ -194,6 +196,28 @@ class TestQuartetSaturate:
         )
         assert quartet_saturate(J) == J
         assert closure(J) == J | [(0, 1, 2)]
+
+    def test_table_holds_the_faces_of_each_quartet(self):
+        for n in range(8):
+            table = quartet_masks(n)
+            assert len(table) == comb(n + 1, 4)
+            for quartet in table:
+                faces = list(TripleSet(n, quartet))
+                assert len(faces) == 4
+                assert len(set().union(*faces)) == 4
+
+    def test_adequacy_is_the_tetrahedron_rule(self, rng):
+        # C is adequate iff its complement is closed under the four-index
+        # rule: exhaustively for n <= 4, then at n = 5 on seeded masks and
+        # on every adequate class representative
+        def agrees(C):
+            rest = C.complement()
+            return is_adequate(C) == (quartet_saturate(rest) == rest)
+
+        for n in range(5):
+            assert all(agrees(TripleSet(n, m)) for m in range(1 << num_triples(n)))
+        seeded = [TripleSet(5, rng.getrandbits(num_triples(5))) for _ in range(3000)]
+        assert all(map(agrees, seeded + list(enumerate_adequate(5).representatives)))
 
 
 class TestNodeLabel:

@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import json
-import os
 
 import pytest
 
@@ -19,7 +18,6 @@ from qpoints.gallery import (
 from qpoints.realize import (
     NotAdequateError,
     RealizationError,
-    _worker_count,
     generic_point_of_node,
     realize,
     realize_all,
@@ -141,23 +139,6 @@ class TestRealizeAll:
         assert failures[0].method == "obstructed"
         assert failures[0].target.canonical() == OBSTRUCTED.canonical()
 
-    def test_worker_pool_matches_serial(self):
-        serial = realize_all(3)
-        parallel = realize_all(3, threads=2)
-        assert [r.success for r in serial.results] == [
-            r.success for r in parallel.results
-        ]
-        assert [r.target for r in serial.results] == [
-            r.target for r in parallel.results
-        ]
-
-    def test_worker_count_is_clamped(self):
-        cpus = os.cpu_count() or 1
-        assert _worker_count(1, 175) == 1
-        assert _worker_count(10**6, 175) == min(cpus, 175)
-        assert _worker_count(10**6, 2) == min(cpus, 2)
-        assert _worker_count(0, 175) == 1
-        assert _worker_count(4, 0) == 1
 
 
 class TestGenericPoint:
