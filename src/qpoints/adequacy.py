@@ -105,7 +105,7 @@ def adequate_masks(n: int) -> np.ndarray:
     """
     nt = num_triples(n)
     if nt > 25:
-        raise ValueError(f"enumeration over 2^{nt} collections is out of budget")
+        raise ValueError(f"adequate enumeration over 2^{nt} collections (n = {n}) is out of budget; n <= 5")
     lo = nt // 2
     high, low = np.zeros(1 << (nt - lo), dtype=np.uint64), np.zeros(1 << lo, dtype=np.uint64)
     for words, shift in ((high, lo), (low, 0)):
@@ -122,8 +122,6 @@ def enumerate_adequate(n: int) -> OrbitCatalog:
     ascending order of canonical mask; one orbit computation per class."""
     if n < 0:
         raise ValueError(f"dimension index n must be >= 0, got {n}")
-    if n > 5:
-        raise ValueError("adequate enumeration supported for n <= 5")
     masks, reps, sizes = adequate_masks(n), [], []
     unseen = np.ones(1 << num_triples(n), dtype=bool)
     for m in masks.tolist():

@@ -2,8 +2,11 @@
 
 Subcommands: pts, enumerate, graph, realize, sinks, forced.  All commands
 are deterministic; identical inputs produce byte-identical outputs (fresh
-generator names are sequential).  Exit codes: 0 ok, 2 parse/usage, 3 input
-invariant violation, 4 input not adequate, 5 realization failure.
+generator names are sequential).  enumerate, graph and realize write their
+body to stdout or, with --out F, to the file F and its manifest
+F.manifest.json; their summary line always goes to stdout.  Exit codes: 0 ok, 2 parse/usage,
+3 input invariant violation or input beyond a size bound, 4 input not
+adequate, 5 realization failure.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .degeneration import (
     sinks,
     to_dot,
 )
-from .realize import NotAdequateError, RealizationError, forced_solutions, realize, realize_all
+from .realize import NotAdequateError, forced_solutions, realize, realize_all
 from .scalars import MatrixFormatError, ScalarError, qmatrix_from_json
 from .triples import TripleSet
 from .variety import components, good_triples, ideal_generators
@@ -42,11 +45,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path]) -> dict:
+def _manifest(inputs: tuple[Path, ...], output: Path) -> dict:
     return {
         "command": " ".join(sys.argv) if sys.argv else "qpoints",
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(output)],
         "determinism": "seed-free; rerunning this command reproduces the outputs byte for byte",
         "versions": {
             "qpoints": __version__,
@@ -55,11 +58,16 @@ def _manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path])
     }
 
 
-def _write_manifest(args, inputs: list[Path], outputs: list[Path]) -> None:
-    if not outputs:
+def _emit(body: str, out: str | None, inputs: tuple[Path, ...] = ()) -> None:
+    """Write a command's body to stdout, or to the file out together with
+    its manifest, out + ".manifest.json"."""
+    if not out:
+        sys.stdout.write(body)
         return
-    path = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
-    path.write_text(json.dumps(_manifest(args, inputs, outputs), indent=2) + "\n")
+    path = Path(out)
+    path.write_text(body)
+    manifest = path.with_suffix(path.suffix + ".manifest.json")
+    manifest.write_text(json.dumps(_manifest(inputs, path), indent=2) + "\n")
 
 
 def _load_matrix(path: str):
@@ -118,7 +126,6 @@ def cmd_pts(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    outputs: list[Path] = []
     if args.nodes:
         nodes = enumerate_nodes(args.n, long=args.long)
         lines = [json.dumps(rec, sort_keys=True) for rec in node_records(nodes)]
@@ -127,37 +134,15 @@ def cmd_enumerate(args) -> int:
         catalog = enumerate_adequate(args.n)
         lines = [json.dumps(rec, sort_keys=True) for rec in catalog.records()]
         summary = f"total={catalog.total} orbits={len(catalog)}"
-    body = "\n".join(lines) + "\n"
-    if args.out:
-        path = Path(args.out)
-        path.write_text(body)
-        outputs.append(path)
-        _write_manifest(args, [], outputs)
-    else:
-        sys.stdout.write(body)
+    _emit("\n".join(lines) + "\n", args.out)
     print(summary)
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
     graph = build_graph(args.n, long=args.long)
-    outputs: list[Path] = []
-    dot = to_dot(graph)
-    if args.dot:
-        path = Path(args.dot)
-        path.write_text(dot)
-        outputs.append(path)
-    if args.json:
-        body = json.dumps(graph_json_dict(graph), indent=2) + "\n"
-        if args.out:
-            path = Path(args.out)
-            path.write_text(body)
-            outputs.append(path)
-        else:
-            sys.stdout.write(body)
-    elif not args.dot:
-        sys.stdout.write(dot)
-    _write_manifest(args, [], outputs)
+    body = json.dumps(graph_json_dict(graph), indent=2) + "\n" if args.json else to_dot(graph)
+    _emit(body, args.out)
     print(f"nodes={len(graph.nodes)} arrows={len(graph.arrows)}")
     return EXIT_OK
 
@@ -171,9 +156,13 @@ def cmd_realize(args) -> int:
         catalog = enumerate_adequate(int(n))
         if str(index) == "all":
             summary = realize_all(int(n))
-            for i, result in enumerate(summary.results):
-                status = "ok" if result.success else "FAILED"
-                print(f"class {i}: {status} ({result.method})")
+            _emit(
+                "".join(
+                    f"class {i}: {'ok' if r.success else 'FAILED'} ({r.method})\n"
+                    for i, r in enumerate(summary.results)
+                ),
+                args.out,
+            )
             print(f"realized {summary.n_success}/{summary.n_classes}")
             return EXIT_OK if summary.n_success == summary.n_classes else EXIT_REALIZE_FAILED
         reps = catalog.representatives
@@ -194,15 +183,8 @@ def cmd_realize(args) -> int:
     if not result.success:
         print(f"realization failed: {result.detail}", file=sys.stderr)
         return EXIT_REALIZE_FAILED
-    body = result.matrix.to_json() + "\n"
-    outputs: list[Path] = []
-    if args.out:
-        path = Path(args.out)
-        path.write_text(body)
-        outputs.append(path)
-        _write_manifest(args, [Path(args.collection)] if args.collection else [], outputs)
-    else:
-        sys.stdout.write(body)
+    inputs = (Path(args.collection),) if args.collection else ()
+    _emit(result.matrix.to_json() + "\n", args.out, inputs)
     print(
         "verified: achieved collection matches target"
         f" ({len(result.target)} excluded planes)"
@@ -271,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="degeneration graph")
     p.add_argument("n", type=int)
-    p.add_argument("--dot", help="write DOT to this path")
     p.add_argument("--json", action="store_true")
     p.add_argument("--long", action="store_true")
     p.add_argument("--out")
@@ -304,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cls", None) is None and args.command == "realize" and not args.collection:
-        parser.error("realize needs a collection file or --class")
+    if args.command == "realize" and (args.cls is None) == (not args.collection):
+        parser.error("realize needs a collection file or --class N INDEX, not both")
     try:
         return args.func(args)
     except (json.JSONDecodeError, MatrixFormatError, FileNotFoundError) as exc:
@@ -317,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ScalarError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except RealizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ADEQUATE
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ obstructed.  Every result is verified exactly; a construction that misses
 its target is reported, never accepted.
 
 One SolutionFamily solves b_t = 1, for the generic point and for the
-forced solutions of a good set under pinned parameters (forced_solutions).
+forced solutions of a good set under pinned parameters.  Both are built by
+forced_solutions, which refuses n above SOLVER_MAX_N.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .lattice import (
     num_pairs,
     pair_index,
     pair_list,
-    span,
     triple_chars,
 )
 from .scalars import GroupScalar, NameSupply, QMatrix
@@ -39,11 +39,20 @@ from .triples import TripleSet
 from .variety import good_triples
 
 
-class RealizationError(Exception):
-    """Realization could not be attempted."""
+#: Largest n the b_t = 1 solver accepts.  The system has n(n+1)/2 unknowns,
+#: so an empty good set in a huge n would exhaust memory.  The full set is
+#: the slowest input: measured on a shared 2-vCPU host it takes 0.2 s at
+#: n = 16, 10 s at n = 30 and 260 s at n = 50, almost all in the pure-Python
+#: echelon and SNF steps.
+SOLVER_MAX_N = 50
 
 
-class NotAdequateError(RealizationError):
+def _check_solver_bound(n: int) -> None:
+    if n > SOLVER_MAX_N:
+        raise ValueError(f"the b_t = 1 solver supports n <= {SOLVER_MAX_N}, got n = {n}")
+
+
+class NotAdequateError(ValueError):
     """The input collection fails the adequacy condition."""
 
 
@@ -72,14 +81,15 @@ class RealizationResult:
 def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResult:
     """Build a matrix whose excluded planes are exactly C, and verify it.
 
-    Preconditions: C adequate and n <= 5.  The matrix is the generic point
-    of the complement (generic_point_of_node), exactly verified there.  A
-    complement that is not character-closed is reported as obstructed,
-    naming the forced planes (see generic_point_of_node); a closed set
-    without a generic point is reported with the reason.
+    The matrix is the generic point of the complement
+    (generic_point_of_node), exactly verified there.  A complement that is
+    not character-closed is reported as obstructed, naming the forced planes
+    (see generic_point_of_node); a closed set without a generic point is
+    reported with the reason.  Raises ValueError when n exceeds
+    SOLVER_MAX_N, checked first so that a huge n fails at once, and
+    NotAdequateError when C is not adequate.
     """
-    if C.n > 5:
-        raise RealizationError("realization supported for n <= 5 only")
+    _check_solver_bound(C.n)
     if not is_adequate(C):
         raise NotAdequateError(f"collection is not adequate: {C}")
     try:
@@ -210,15 +220,11 @@ def forced_solutions(
     The normalization typically pins one parameter per degree of freedom of
     the free rescaling torus (e.g. the last column q_in = 1); the result
     then shows whether the remaining solutions are finite and what values
-    they force.
+    they force.  Raises ValueError above SOLVER_MAX_N, before reading the
+    normalization.
     """
     n = G.n
-    # The system has n(n+1)/2 unknowns, so an empty good set in a huge n
-    # would exhaust memory.  The full set is the slowest input: measured on
-    # a shared 2-vCPU host it takes 0.2 s at n = 16, 10 s at n = 30 and
-    # 260 s at n = 50, almost all in the pure-Python echelon and SNF steps.
-    if n > 50:
-        raise ValueError("forced solutions supported for n <= 50")
+    _check_solver_bound(n)
     P = num_pairs(n)
     idx = pair_index(n)
     norm: list[tuple[int, int]] = []
@@ -245,11 +251,13 @@ def generic_point_of_node(closed: TripleSet, supply: NameSupply | None = None) -
     generators, and the finite component group is searched for a character
     that keeps every triple outside the closed set obstructed.  The result
     is verified exactly.  A set that is not closed raises NotClosedError,
-    naming the triples outside it that its character span forces in.
+    naming the triples outside it that its character span forces in.  The
+    family comes from forced_solutions with no pins, so n is bounded by
+    SOLVER_MAX_N.
     """
     supply = supply if supply is not None else NameSupply()
     n = closed.n
-    family = SolutionFamily(n, span(closed).quotient())
+    family = forced_solutions(closed)
     quotient = family.quotient
     # images of the characters outside the closed set: those that are zero
     # are forced into it; those zero on the free columns lie in a torsion

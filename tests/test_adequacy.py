@@ -171,7 +171,7 @@ class TestEnumeration:
                     assert is_dense(rep)
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(n = 6\) is out of budget"):
             enumerate_adequate(6)
 
     def test_catalog_rejects_inconsistent_orbits(self):

@@ -287,7 +287,7 @@ FLAG_COMBINATIONS = [
     (command, flags)
     for command, names in (
         ("enumerate", ("--adequate", "--nodes", "--long", "--out")),
-        ("graph", ("--dot", "--json", "--long", "--out")),
+        ("graph", ("--json", "--long", "--out")),
         ("sinks", ("--long",)),
     )
     for k in range(len(names) + 1)
@@ -310,8 +310,8 @@ class TestDimensionFuzz:
         argv = [command, str(n)]
         for flag in flags:
             argv.append(flag)
-            if flag in ("--out", "--dot"):
-                argv.append(str(tmp_path / flag.strip("-")))
+            if flag == "--out":
+                argv.append(str(tmp_path / "out"))
         start = time.perf_counter()
         try:
             code = main(argv)
@@ -338,8 +338,8 @@ class TestGraph:
 
     def test_dot_file_deterministic(self, tmp_path):
         a, b = tmp_path / "a.dot", tmp_path / "b.dot"
-        assert main(["graph", "4", "--dot", str(a)]) == 0
-        assert main(["graph", "4", "--dot", str(b)]) == 0
+        assert main(["graph", "4", "--out", str(a)]) == 0
+        assert main(["graph", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().count("->") == 28
 
@@ -348,6 +348,37 @@ class TestGraph:
         out = capsys.readouterr().out
         data = json.loads(out[: out.rindex("}") + 1])
         assert len(data["nodes"]) == 2
+
+
+class TestOut:
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            (["enumerate", "3", "--adequate"], "total=12 orbits=4"),
+            (["graph", "4"], "nodes=16 arrows=28"),
+            (["graph", "4", "--json"], "nodes=16 arrows=28"),
+            (["realize", "--class", "3", "all"], "realized 4/4"),
+            (["realize", "--class", "3", "3"], "verified: achieved collection matches target"),
+        ],
+    )
+    def test_out_holds_the_printed_body(self, tmp_path, capsys, argv, summary):
+        # --out moves the body from stdout to the file, next to a manifest;
+        # the summary line stays on stdout
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "body"
+        assert main(argv + ["--out", str(out)]) == 0
+        kept = capsys.readouterr().out
+        assert kept.startswith(summary) and kept.count("\n") == 1
+        assert out.read_text() + kept == printed
+        manifest = json.loads((tmp_path / "body.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out)]
+
+    def test_realize_all_writes_one_line_per_class(self, tmp_path, capsys):
+        out = tmp_path / "classes.txt"
+        assert main(["realize", "--class", "3", "all", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "realized 4/4\n"
+        assert out.read_text() == "".join(f"class {i}: ok (generic-point)\n" for i in range(4))
 
 
 class TestRealize:
@@ -402,15 +433,32 @@ class TestRealize:
             if line not in failed:
                 assert line.endswith(" (generic-point)"), line
 
-    def test_huge_n_fails_fast_with_exit_4(self, tmp_path, capsys):
-        # the loader ranks triples arithmetically, with no table of all triples
-        for triples in ([], [[0, 1, 2]]):
+    def test_huge_n_fails_fast_with_exit_3(self, tmp_path, capsys):
+        # the loader ranks triples arithmetically, with no table of all
+        # triples, and the solver bound is checked before adequacy
+        for n, triples in itertools.product((51, 1000000000), ([], [[0, 1, 2]])):
             path = tmp_path / "huge.json"
-            path.write_text(json.dumps({"n": 1000000000, "triples": triples}))
+            path.write_text(json.dumps({"n": n, "triples": triples}))
             start = time.perf_counter()
-            assert main(["realize", str(path)]) == 4
+            assert main(["realize", str(path)]) == 3
             assert time.perf_counter() - start < 2.0
-            assert "n <= 5" in capsys.readouterr().err
+            assert f"supports n <= 50, got n = {n}" in capsys.readouterr().err
+
+    def test_class_beyond_catalog_budget_exits_3(self, capsys):
+        start = time.perf_counter()
+        assert main(["realize", "--class", "6", "0"]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert "(n = 6) is out of budget" in capsys.readouterr().err
+
+    def test_collection_and_class_exit_2(self, tmp_path, capsys):
+        # a file next to --class would be ignored, so the call is refused
+        from qpoints.triples import TripleSet
+
+        path = write_collection(tmp_path, TripleSet.of(3, [(0, 1, 2)]))
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", path, "--class", "3", "0"])
+        assert exc.value.code == 2
+        assert "not both" in capsys.readouterr().err
 
     def test_triple_beyond_mask_limit_exits_3(self, tmp_path, capsys):
         top = 1000000000
@@ -439,7 +487,7 @@ class TestSinksAndForced:
         assert "solution 0: all q = 1" in out
         assert "q[0,1]=w" in out
 
-    @pytest.mark.parametrize("n", [-1, 1000000000])
+    @pytest.mark.parametrize("n", [-1, 51, 1000000000])
     def test_forced_out_of_range_n_exits_3(self, tmp_path, capsys, n):
         for triples in ([], [[0, 1, 2]]):
             path = tmp_path / "range.json"
@@ -447,6 +495,8 @@ class TestSinksAndForced:
             start = time.perf_counter()
             assert main(["forced", str(path)]) == 3
             assert time.perf_counter() - start < 2.0
+            err = capsys.readouterr().err
+            assert n < 0 or f"supports n <= 50, got n = {n}" in err
 
     def test_forced_explicit_pins(self, tmp_path, capsys):
         path = write_collection(tmp_path, pentagonal_good_set(), "good.json")

@@ -1,12 +1,13 @@
 import hashlib
 import importlib
 import json
+import random
 
 import pytest
 
 from qpoints.adequacy import is_dense
 from qpoints.cli import main
-from qpoints.lattice import closure
+from qpoints.lattice import closure, quartet_saturate
 from qpoints.gallery import (
     block_matrix,
     p3_two_planes_collection,
@@ -17,13 +18,12 @@ from qpoints.gallery import (
 )
 from qpoints.realize import (
     NotAdequateError,
-    RealizationError,
     generic_point_of_node,
     realize,
     realize_all,
 )
 from qpoints.scalars import NameSupply
-from qpoints.triples import TripleSet, permutations
+from qpoints.triples import TripleSet, all_triples, permutations
 from qpoints.variety import good_triples
 
 # The one six-variable class whose complement is not character-closed: a
@@ -78,8 +78,9 @@ class TestRealize:
             realize(TripleSet.of(3, [(0, 1, 2)]))
 
     def test_dimension_guard(self):
-        with pytest.raises(RealizationError):
-            realize(TripleSet.empty(6))
+        # the solver bound of forced_solutions, checked before adequacy
+        with pytest.raises(ValueError, match="n <= 50, got n = 51"):
+            realize(TripleSet.empty(51))
 
     def test_genericity_is_witnessed(self):
         result = realize(p3_two_planes_collection())
@@ -130,6 +131,25 @@ class TestRealizeAll:
             for result in summary.results:
                 assert good_triples(result.matrix).complement() == result.target
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_round_trip_beyond_the_catalog(self, n):
+        # the complement of a quartet-closed set is adequate; every other
+        # draw contains the octahedron behind OBSTRUCTED, so both outcomes
+        # occur: an exact realization, or the forced planes of C named
+        rng = random.Random(n)
+        for k in range(30):
+            picks = rng.sample(all_triples(n), rng.randint(0, n))
+            if k % 2:
+                picks += list(OBSTRUCTED.complement())
+            C = quartet_saturate(TripleSet.of(n, picks)).complement()
+            result = realize(C)
+            if result.success:
+                assert good_triples(result.matrix).complement() == C
+            else:
+                forced = list(closure(C.complement()) & C)
+                assert result.method == "obstructed" and forced
+                assert str(forced) in result.detail
+
     def test_five_variables_has_single_obstruction(self):
         summary = realize_all(5)
         assert summary.n_classes == 175
@@ -155,6 +175,15 @@ class TestGenericPoint:
         J = TripleSet.of(3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         with pytest.raises(ValueError):
             generic_point_of_node(J)
+
+    def test_bounded_before_any_work(self, monkeypatch):
+        def refuse(n):
+            pytest.fail("characters built above the solver bound")
+
+        for module in ("qpoints.lattice", "qpoints.realize"):
+            monkeypatch.setattr(importlib.import_module(module), "triple_chars", refuse)
+        with pytest.raises(ValueError, match="n <= 50, got n = 51"):
+            generic_point_of_node(TripleSet.full(51))
 
     def test_deterministic(self):
         a = generic_point_of_node(TripleSet.full(4), NameSupply("g"))

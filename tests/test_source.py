@@ -1,10 +1,13 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import qpoints
+from qpoints.cli import _build_parser
 
 
 def test_no_assert_statements():
@@ -75,3 +78,21 @@ def test_traced_names_exist():
         if name not in vars(getattr(importlib.import_module(f"qpoints.{module}"), cls))
     ]
     assert len(tables) == 2 and missing == []
+
+
+def test_readme_lists_every_cli_option():
+    # the README "Command line" block is the reference for the CLI, so the
+    # lines of each subcommand name exactly the options its parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["qpoints"]:
+            listed.setdefault(words[1], set()).update(re.findall(r"--[a-z-]+", " ".join(words[2:])))
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {s for action in sub._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == accepted
