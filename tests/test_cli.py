@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import time
@@ -104,6 +105,47 @@ class TestPts:
         assert data["components"] == [list(range(n + 1))]
         assert data["type"] == [1] + [0] * (n - 1)
         assert elapsed < 2.0
+
+
+# the rank-one matrix of test_rank_one_25_variables_is_one_component
+RANK_ONE_24 = {f"{i},{j}": f"a{i}^-1*a{j}" for i in range(25) for j in range(i + 1, 25)}
+
+# a torsion matrix whose "generators" list is given (and names an unused
+# generator), so the table is read from the file rather than inferred
+TORSION_MATRIX = {
+    "n": 4,
+    "torsion_modulus": 4,
+    "generators": ["a", "b", "c", "d"],
+    "upper": {
+        "0,1": "a*w", "0,2": "a*b", "0,3": "w^2", "0,4": "c^-1",
+        "1,2": "b*w^3", "1,3": "a^-1*w", "1,4": "1", "2,3": "w^3",
+        "2,4": "b^2*c", "3,4": {"exponents": {"a": 2, "c": 0}, "torsion": 5},
+    },
+}
+
+
+class TestPinnedPts:
+    # SHA-256 of the stdout and exit code of `pts FILE` and `pts FILE --json`
+    # over the gallery matrices, the rank-one n = 24 matrix (table inferred)
+    # and a torsion matrix with its own generator list
+    PTS_OUTPUTS = "3ddf5ce47c075ee46517d72d8b9d6946c475c1b86d4ed3c5d93272e600571020"
+
+    def test_pts_outputs(self, tmp_path, capsys):
+        inputs = {
+            "p3_two_planes": p3_two_planes_matrix().to_json(),
+            "block": block_matrix().to_json(),
+            "all_ones_3": all_ones_matrix(3).to_json(),
+            "rank_one_24": json.dumps({"n": 24, "upper": RANK_ONE_24}),
+            "torsion": json.dumps(TORSION_MATRIX),
+        }
+        digest = hashlib.sha256()
+        for name, text in inputs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            for flags in ([], ["--json"]):
+                code = main(["pts", str(path)] + flags)
+                digest.update(f"{name} {flags} {code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == self.PTS_OUTPUTS
 
 
 def _json_values():
