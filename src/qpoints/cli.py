@@ -4,18 +4,26 @@ Subcommands: pts, enumerate, graph, realize, sinks, forced.  All commands
 are deterministic; identical inputs produce byte-identical outputs (fresh
 generator names are sequential).  enumerate, graph and realize write their
 body to stdout or, with --out F, to the file F and its manifest
-F.manifest.json; their summary line always goes to stdout.  Exit codes: 0 ok, 2 parse/usage,
-3 input invariant violation or input beyond a size bound, 4 input not
-adequate, 5 realization failure.
+F.manifest.json; their summary line always goes to stdout.  Exit codes:
+0 ok, 2 parse/usage or a file that cannot be read or written, 3 input
+invariant violation or input beyond a size bound, 4 input not adequate,
+5 realization failure.
+
+main(argv) may be called repeatedly in one process: the argument parser is
+built on the first call and never changed after, so each call answers as it
+would in a fresh process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -58,6 +66,38 @@ def _manifest(inputs: tuple[Path, ...], output: Path) -> dict:
     }
 
 
+def _json_text(value, prefix: str = "") -> str:
+    """Exactly json.dumps(value, indent=2), nested under prefix.
+
+    indent= sends json.dumps to its pure-Python encoder, so ints, strings,
+    string-keyed objects, lists of ints and lists of int lists (the bulk of
+    pts and graph output) are written here, one join per list; any other
+    value goes to json.dumps and is re-indented.
+    """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = prefix + "  "
+    sep = ",\n" + inner
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(str, value))
+        elif kinds == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            row_sep = sep + "  "
+            head, tail = "[" + row_sep[1:], "\n" + inner + "]"
+            body = sep.join([head + row_sep.join(map(str, row)) + tail for row in value])
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + prefix + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        body = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + prefix + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + prefix)
+
+
 def _emit(body: str, out: str | None, inputs: tuple[Path, ...] = ()) -> None:
     """Write a command's body to stdout, or to the file out together with
     its manifest, out + ".manifest.json"."""
@@ -67,7 +107,7 @@ def _emit(body: str, out: str | None, inputs: tuple[Path, ...] = ()) -> None:
     path = Path(out)
     path.write_text(body)
     manifest = path.with_suffix(path.suffix + ".manifest.json")
-    manifest.write_text(json.dumps(_manifest(inputs, path), indent=2) + "\n")
+    manifest.write_text(_json_text(_manifest(inputs, path)) + "\n")
 
 
 def _load_matrix(path: str):
@@ -110,7 +150,7 @@ def cmd_pts(args) -> int:
         out = config.to_json_dict()
         out["good_triples"] = [list(t) for t in good]
         out["ideal_generators"] = [list(t) for t in gens]
-        print(json.dumps(out, indent=2))
+        print(_json_text(out))
         return EXIT_OK
     print("good triples:", " ".join(_fmt_triple(t) for t in good) or "(none)")
     if config.is_whole_space():
@@ -141,7 +181,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     graph = build_graph(args.n, long=args.long)
-    body = json.dumps(graph_json_dict(graph), indent=2) + "\n" if args.json else to_dot(graph)
+    body = _json_text(graph_json_dict(graph)) + "\n" if args.json else to_dot(graph)
     _emit(body, args.out)
     print(f"nodes={len(graph.nodes)} arrows={len(graph.arrows)}")
     return EXIT_OK
@@ -229,6 +269,7 @@ def cmd_forced(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpoints",
@@ -289,8 +330,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("realize needs a collection file or --class N INDEX, not both")
     try:
         return args.func(args)
-    except (json.JSONDecodeError, MatrixFormatError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, MatrixFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        if exc.filename is None:  # not a file the command reads or writes
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetError as exc:
         print(f"error: {exc} (use --long)", file=sys.stderr)

@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .triples import Triple, check_triple
@@ -22,6 +23,13 @@ from .triples import Triple, check_triple
 TORSION_NAME = "w"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+@lru_cache(maxsize=4096)
+def _is_generator_name(name: str) -> bool:
+    """Whether name may name a free generator; a matrix repeats its few
+    names many times, so each distinct name is matched once."""
+    return name != TORSION_NAME and _NAME_RE.match(name) is not None
 
 
 class ScalarError(ValueError):
@@ -54,7 +62,7 @@ class GroupScalar:
         if len(set(names)) != len(names):
             raise ScalarError("duplicate generator in exponent list")
         for g in names:
-            if not _NAME_RE.match(g) or g == TORSION_NAME:
+            if not _is_generator_name(g):
                 raise ScalarError(f"bad generator name {g!r}")
         object.__setattr__(self, "exponents", cleaned)
 
@@ -160,7 +168,7 @@ def parse_scalar(text: str, modulus: int = 2) -> GroupScalar:
             raise ScalarError(f"bad exponent in token {token!r}") from exc
         if name == TORSION_NAME:
             torsion += e
-        elif _NAME_RE.match(name):
+        elif _is_generator_name(name):
             exps[name] = exps.get(name, 0) + e
         else:
             raise ScalarError(f"bad generator name {name!r} in {text!r}")
@@ -181,15 +189,19 @@ class GeneratorTable:
         if len(set(names)) != len(names):
             raise ScalarError("generator names must be unique")
         for g in names:
-            if not _NAME_RE.match(g) or g == TORSION_NAME:
+            if not _is_generator_name(g):
                 raise ScalarError(f"bad generator name {g!r}")
         object.__setattr__(self, "names", names)
 
     def one(self) -> GroupScalar:
         return GroupScalar.one(self.torsion_modulus)
 
+    @cached_property
+    def _name_set(self) -> frozenset[str]:
+        return frozenset(self.names)
+
     def gen(self, name: str, power: int = 1) -> GroupScalar:
-        if name not in self.names:
+        if name not in self._name_set:
             raise ScalarError(f"unknown generator {name!r}")
         return GroupScalar.generator(name, self.torsion_modulus, power)
 
@@ -198,7 +210,7 @@ class GeneratorTable:
 
     def admits(self, s: GroupScalar) -> bool:
         return s.modulus == self.torsion_modulus and all(
-            g in self.names for g, _ in s.exponents
+            g in self._name_set for g, _ in s.exponents
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qpoints.cli import main
+from qpoints.cli import _build_parser, _json_text, main
 from qpoints.gallery import (
     all_ones_matrix,
     block_matrix,
@@ -159,6 +159,97 @@ def _json_values():
         | st.dictionaries(st.sampled_from(["exponents", "torsion", "a", "b", "0,1"]), inner, max_size=3),
         max_leaves=6,
     )
+
+
+class TestJsonText:
+    # the CLI writes its indented JSON without json.dumps; it must agree
+    # with json.dumps(value, indent=2) byte for byte on any value
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(value=_json_values())
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [], {}, [[]], [{}], [[], []], [[1], []], [[[]]], {"a": []}, {"a": {}}, {"a": [[], {}]},
+            [True, 1, False, 0], [[1, True], [0, 2]], [[True]], {"t": True, "f": False, "i": 1},
+            [1, [2, 3], 4], [[1, 2], [3]], [[-1, 0], [1]], (1, 2), [(1, 2), [3]],
+            [2**63, -(2**63) - 1, 10**40], [[2**64, -(2**80)]],
+            [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1e300], {"x": [1.5, float("nan")]},
+            ["\u00e9", "\u2603", "\n\t\"\\", "\x00\x1f", "\ud800", "\U0001f600"],
+            {"\u00e9": "\u00df", '"': 1, "a\nb": [1, 2]},
+            {1: [2, 3]}, {None: 1, "a": [{2.5: [1]}]}, [{True: [1, 2]}], {"k": {False: {}}},
+            None, True, False, 7, -7, 1.5, "", "s",
+        ],
+    )
+    def test_explicit_cases(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [[1, object()], {"a": {1, 2}}, {(1, 2): 3}])
+    def test_unserializable_raises_like_json_dumps(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+class TestParserReuse:
+    # main builds its parser once per process; a sequence of calls must
+    # answer each command as a freshly built parser does
+    SEQUENCE = [
+        ["realize"],
+        ["pts", "MATRIX", "--json"],
+        ["realize", "MATRIX", "--class", "3", "0"],
+        ["graph", "3", "--json"],
+        ["enumerate", "3", "--adequate"],
+        ["graph", "3"],
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def test_calls_do_not_leak_state(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        path = write_matrix(tmp_path, p3_two_planes_matrix())
+        sequence = [[path if a == "MATRIX" else a for a in argv] for argv in self.SEQUENCE]
+        shared = [self._run(argv, capsys) for argv in sequence]
+        alone = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            alone.append(self._run(argv, capsys))
+        assert shared == alone
+        assert [code for code, _ in shared] == [2, 0, 2, 0, 0, 0]
+
+
+class TestFileErrors:
+    # a file that cannot be read or written exits 2, naming the path and
+    # the reason, whether it is an input or an --out target
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["pts", "DIR"], "DIR"),
+            (["realize", "DIR"], "DIR"),
+            (["forced", "DIR"], "DIR"),
+            (["graph", "3", "--out", "DIR"], "DIR"),
+            (["enumerate", "3", "--adequate", "--out", "DIR"], "DIR"),
+            (["realize", "--class", "3", "all", "--out", "DIR"], "DIR"),
+            (["graph", "3", "--out", "DIR/missing/x.dot"], "DIR/missing/x.dot"),
+            (["pts", "DIR/missing.json"], "DIR/missing.json"),
+        ],
+    )
+    def test_exits_2_naming_path_and_reason(self, tmp_path, capsys, argv, target):
+        argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "No such file or directory" if "missing" in target else "Is a directory"
+        assert captured.err == f"error: {target.replace('DIR', str(tmp_path))}: {reason}\n"
 
 
 _PAIR_KEYS = st.one_of(
