@@ -7,7 +7,10 @@ body to stdout or, with --out F, to the file F and its manifest
 F.manifest.json; their summary line always goes to stdout.  Exit codes:
 0 ok, 2 parse/usage or a file that cannot be read or written, 3 input
 invariant violation or input beyond a size bound, 4 input not adequate,
-5 realization failure.
+5 realization failure, 141 stdout closed by its reader before all output
+was written (as in `qpoints graph 5 --long --json | head`): the command
+ends quietly, with the code a shell reports for a writer killed by
+SIGPIPE.
 
 main(argv) may be called repeatedly in one process: the argument parser is
 built on the first call and never changed after, so each call answers as it
@@ -20,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import platform
 import sys
 from itertools import chain
@@ -47,6 +51,7 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NOT_ADEQUATE = 4
 EXIT_REALIZE_FAILED = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _sha256(path: Path) -> str:
@@ -329,7 +334,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "realize" and (args.cls is None) == (not args.collection):
         parser.error("realize needs a collection file or --class N INDEX, not both")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the final
+        # flush at interpreter exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (json.JSONDecodeError, MatrixFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,8 +9,15 @@ such as sign matrices distinguishable from the identity component.
 
 One kernel, SubLattice.quotient, computes Z^P / L for a span L from the
 Smith normal form of L's echelon rows: free columns, torsion columns with
-their orders, and the image of a character.  Realization, its obstructions
-and forced solutions read that quotient; closure and node labels read L.
+their orders, and the quotient map V.  A triple's character is the
+simplicial boundary e_ij + e_jk - e_ik, so its image is V[ij] + V[jk] -
+V[ik].  Realization, its obstructions and forced solutions read that
+quotient; closure and node labels read L.
+
+Characters are sparse, and so are their echelon rows, so the kernel walks
+row supports: SubLattice.add and contains do arithmetic only on the
+nonzero columns of each row, and smith_normal_form clears a unit pivot's
+row and column in one pass over their nonzeros.
 """
 
 from __future__ import annotations
@@ -79,14 +86,17 @@ class SubLattice:
 
     Rows have strictly increasing pivot columns.  Membership requires exact
     divisibility at every pivot, so the lattice is never silently saturated.
+    supports[r] lists the nonzero columns of rows[r], in ascending order;
+    add and contains do arithmetic only on those columns.
     """
 
-    __slots__ = ("dim", "rows", "pivots")
+    __slots__ = ("dim", "rows", "pivots", "supports")
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.supports: list[list[int]] = []
 
     @classmethod
     def span(cls, vectors, dim: int) -> "SubLattice":
@@ -103,47 +113,60 @@ class SubLattice:
         """Add a vector to the span; returns True if the lattice grew."""
         if len(vec) != self.dim:
             raise ValueError("vector dimension mismatch")
-        vec = list(vec)
+        # the vector's nonzero entries, reduced against one row at a time
+        v = {c: vec[c] for c in itertools.compress(range(self.dim), vec)}
+        rows, pivots, supports = self.rows, self.pivots, self.supports
         grew = False
-        pos = 0
-        while True:
-            j = next((c for c in range(pos, self.dim) if vec[c]), None)
-            if j is None:
-                return grew
-            r = bisect_left(self.pivots, j)
-            if r == len(self.pivots) or self.pivots[r] != j:
-                if vec[j] < 0:
-                    vec = [-v for v in vec]
-                self.rows.insert(r, vec)
-                self.pivots.insert(r, j)
+        while v:
+            j = min(v)
+            r = bisect_left(pivots, j)
+            if r == len(pivots) or pivots[r] != j:
+                sign = -1 if v[j] < 0 else 1
+                row = [0] * self.dim
+                for c, x in v.items():
+                    row[c] = sign * x
+                rows.insert(r, row)
+                pivots.insert(r, j)
+                supports.insert(r, sorted(v))
                 return True
-            row = self.rows[r]
-            a, b = row[j], vec[j]
+            row = rows[r]
+            a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
-                for c in range(j, self.dim):
-                    vec[c] -= q * row[c]
+                for c in supports[r]:
+                    x = v.get(c, 0) - q * row[c]
+                    if x:
+                        v[c] = x
+                    else:
+                        del v[c]
             else:
                 x, y, g = _xgcd(a, b)
                 ag, bg = a // g, b // g
-                for c in range(j, self.dim):
-                    rc, vc = row[c], vec[c]
-                    row[c] = x * rc + y * vc
-                    vec[c] = ag * vc - bg * rc
+                support = []
+                for c in sorted(v.keys() | supports[r]):
+                    rc, vc = row[c], v.get(c, 0)
+                    row[c], vc = x * rc + y * vc, ag * vc - bg * rc
+                    if row[c]:
+                        support.append(c)
+                    if vc:
+                        v[c] = vc
+                    else:
+                        v.pop(c, None)
+                supports[r] = support
                 grew = True  # pivot shrank from |a| to g
-            pos = j + 1
+        return grew
 
     def contains(self, vec) -> bool:
         if len(vec) != self.dim:
             raise ValueError("vector dimension mismatch")
         vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, support in zip(self.rows, self.pivots, self.supports):
             if vec[p] == 0:
                 continue
             q, r = divmod(vec[p], row[p])
             if r != 0:
                 return False
-            for c in range(p, self.dim):
+            for c in support:
                 vec[c] -= q * row[c]
         return not any(vec)
 
@@ -206,13 +229,6 @@ class Quotient:
     def __hash__(self) -> int:
         return hash((self.free, self.torsion, tuple(map(tuple, self.V))))
 
-    def image(self, vec) -> list[int]:
-        z = [0] * len(self.V)
-        for v, row in zip(vec, self.V):
-            if v:
-                z = [a + v * b for a, b in zip(z, row)]
-        return z
-
     def is_zero(self, z) -> bool:
         """Whether an image is zero, i.e. its vector lies in L."""
         return not any(z[i] for i in self.free) and all(z[i] % d == 0 for i, d in self.torsion)
@@ -274,80 +290,104 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     Returns (D, V); U is not built.  D is diagonal with d_i >= 0 and
     d_i | d_{i+1}.  Its caller, SubLattice.quotient, passes echelon rows:
     at most one row per column.
+
+    The pivot at step k is the first entry of least magnitude in row-major
+    order of the trailing block.  Rows are cleared below it, then columns
+    to its right; a gcd step may refill the cleared column, and the step
+    repeats until both are clear.  A unit pivot, the common case for
+    boundary matrices, divides everything, so the clearing touches only the
+    nonzeros of the pivot row, and in V only the rows that are nonzero in
+    the pivot column.
     """
-    A = [row.copy() for row in matrix]
+    A = [list(row) for row in matrix]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    V = [[0] * ncols for _ in range(ncols)]
+    for j in range(ncols):
+        V[j][j] = 1
 
-    def row_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
-        # rows_i, rows_j <- x*rows_i + y*rows_j, xx*rows_i + yy*rows_j
-        ri, rj = A[i], A[j]
-        for c in range(ncols):
-            a, b = ri[c], rj[c]
-            ri[c] = x * a + y * b
-            rj[c] = xx * a + yy * b
+    def nonzero(vec: list[int]) -> list[int]:
+        return list(itertools.compress(range(ncols), vec))
 
     def col_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
-        for M in (A, V):
-            for row in M:
-                a, b = row[i], row[j]
-                row[i] = x * a + y * b
-                row[j] = xx * a + yy * b
-
-    def swap_cols(i: int, j: int) -> None:
-        for M in (A, V):
-            for row in M:
-                row[i], row[j] = row[j], row[i]
+        # cols_i, cols_j <- x*cols_i + y*cols_j, xx*cols_i + yy*cols_j; rows
+        # of A above k are zero from column k on
+        for row in itertools.chain(A[k:], V):
+            a, b = row[i], row[j]
+            row[i] = x * a + y * b
+            row[j] = xx * a + yy * b
 
     k = 0
     size = min(nrows, ncols)
     while k < size:
-        # move a nonzero pivot of minimal magnitude into (k, k)
+        # move a nonzero pivot of minimal magnitude into (k, k); rows from k
+        # on are zero left of column k, and no entry is smaller than a unit
         pivot = None
         for i in range(k, nrows):
-            for j in range(k, ncols):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+            units = [A[i].index(u, k) for u in (1, -1) if u in A[i]]
+            if units:
+                pivot = (i, min(units))
+                break
+        else:
+            for i in range(k, nrows):
+                for j in range(k, ncols):
+                    if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
         if pivot is None:
             break
         A[k], A[pivot[0]] = A[pivot[0]], A[k]
-        swap_cols(k, pivot[1])
+        if pivot[1] != k:
+            for row in itertools.chain(A[k:], V):
+                row[k], row[pivot[1]] = row[pivot[1]], row[k]
         while True:
+            rk = A[k]
+            support = nonzero(rk)
             for i in range(k + 1, nrows):
-                if A[i][k]:
-                    if A[i][k] % A[k][k] == 0:
-                        row_op(k, i, 1, 0, -(A[i][k] // A[k][k]), 1)
+                ri = A[i]
+                if ri[k]:
+                    if ri[k] % rk[k] == 0:
+                        q = ri[k] // rk[k]
+                        for c in support:
+                            ri[c] -= q * rk[c]
                     else:
                         # gcd rotation; strictly shrinks |A[k][k]|
-                        x, y, g = _xgcd(A[k][k], A[i][k])
-                        ag, bg = A[k][k] // g, A[i][k] // g
-                        row_op(k, i, x, y, -bg, ag)
-            if any(A[k][j] for j in range(k + 1, ncols)):
-                for j in range(k + 1, ncols):
-                    if A[k][j]:
-                        if A[k][j] % A[k][k] == 0:
-                            col_op(k, j, 1, 0, -(A[k][j] // A[k][k]), 1)
-                        else:
-                            x, y, g = _xgcd(A[k][k], A[k][j])
-                            ag, bg = A[k][k] // g, A[k][j] // g
-                            col_op(k, j, x, y, -bg, ag)
-                continue  # column clearing may have refilled the k-th column
-            if not any(A[i][k] for i in range(k + 1, nrows)):
+                        x, y, g = _xgcd(rk[k], ri[k])
+                        ag, bg = rk[k] // g, ri[k] // g
+                        A[k] = [x * a + y * b for a, b in zip(rk, ri)]
+                        A[i] = [ag * b - bg * a for a, b in zip(rk, ri)]
+                        rk = A[k]
+                        support = nonzero(rk)
+            # column k is now zero off row k
+            right = [j for j in support if j > k]
+            if not right:
                 break
-        # enforce divisibility d_k | A[i][j] on the trailing block
-        offender = None
-        for i in range(k + 1, nrows):
+            if all(rk[j] % rk[k] == 0 for j in right):
+                # every column operation leaves column k alone, so one pass
+                # over V's rows that are nonzero in column k clears row k
+                qs = [(j, rk[j] // rk[k]) for j in right]
+                for row in V:
+                    if row[k]:
+                        for j, q in qs:
+                            row[j] -= q * row[k]
+                for j in right:
+                    rk[j] = 0
+                break
             for j in range(k + 1, ncols):
-                if A[i][j] % A[k][k]:
-                    offender = i
-                    break
+                if rk[j]:
+                    if rk[j] % rk[k] == 0:
+                        col_op(k, j, 1, 0, -(rk[j] // rk[k]), 1)
+                    else:
+                        x, y, g = _xgcd(rk[k], rk[j])
+                        ag, bg = rk[k] // g, rk[j] // g
+                        col_op(k, j, x, y, -bg, ag)
+            # column clearing may have refilled the k-th column
+        # enforce divisibility d_k | A[i][j] on the trailing block
+        if abs(rk[k]) != 1:
+            offender = next((i for i in range(k + 1, nrows) if any(a % rk[k] for a in A[i])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(k, offender, 1, 1, 0, 1)  # add offending row to row k
-            continue  # redo elimination at the same k
-        if A[k][k] < 0:
-            A[k] = [-v for v in A[k]]
+                A[k] = [a + b for a, b in zip(rk, A[offender])]  # add offending row to row k
+                continue  # redo elimination at the same k
+        if rk[k] < 0:
+            rk[k] = -rk[k]
         k += 1
     return A, V

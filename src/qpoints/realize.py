@@ -35,15 +35,15 @@ from .lattice import (
     triple_chars,
 )
 from .scalars import GroupScalar, NameSupply, QMatrix
-from .triples import TripleSet
+from .triples import TripleSet, all_triples
 from .variety import good_triples
 
 
 #: Largest n the b_t = 1 solver accepts.  The system has n(n+1)/2 unknowns,
 #: so an empty good set in a huge n would exhaust memory.  The full set is
-#: the slowest input: measured on a shared 2-vCPU host it takes 0.2 s at
-#: n = 16, 10 s at n = 30 and 260 s at n = 50, almost all in the pure-Python
-#: echelon and SNF steps.
+#: the slowest input: measured on a shared 2-vCPU host it takes 0.03 s at
+#: n = 16, 0.6 s at n = 30 and 8 s at n = 50 (99 MB peak), almost all in
+#: the echelon reduction of its characters, 20825 of them at n = 50.
 SOLVER_MAX_N = 50
 
 
@@ -259,14 +259,17 @@ def generic_point_of_node(closed: TripleSet, supply: NameSupply | None = None) -
     n = closed.n
     family = forced_solutions(closed)
     quotient = family.quotient
-    # images of the characters outside the closed set: those that are zero
+    # images of the characters outside the closed set, each the boundary
+    # e_ij + e_jk - e_ik read as V[ij] + V[jk] - V[ik]: those that are zero
     # are forced into it; those zero on the free columns lie in a torsion
     # coset of the span, and only a torsion character can obstruct them
+    V, idx = quotient.V, pair_index(n)
     forced, free_zero_outside = [], []
-    for b, (t, char) in enumerate(triple_chars(n).items()):
+    for b, t in enumerate(all_triples(n)):
         if closed.mask >> b & 1:
             continue
-        z = quotient.image(char)
+        i, j, k = t
+        z = [u + v - w for u, v, w in zip(V[idx[i, j]], V[idx[j, k]], V[idx[i, k]])]
         if quotient.is_zero(z):
             forced.append(t)
         elif not any(z[x] for x in quotient.free):

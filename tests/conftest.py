@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from qpoints.adequacy import _witness_masks
 from qpoints.realize import generic_point_of_node
-from qpoints.lattice import closure, span
+from qpoints.lattice import _xgcd, closure, span
 from qpoints.scalars import GroupScalar, NameSupply, QMatrix
 from qpoints.triples import Triple, TripleSet, _perm_mask_tables, all_triples, mask_images, num_triples
 
@@ -81,6 +82,160 @@ def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
     for i in range(0, len(masks), step):
         mask_images(n, masks[i:i + step]).min(axis=1, out=canon[i:i + step])
     return canon
+
+
+def quotient_image(quotient, vec) -> list[int]:
+    """Image vec @ V of any vector in a quotient (the source reads the
+    image of a triple character straight off three rows of V)."""
+    z = [0] * len(quotient.V)
+    for v, row in zip(vec, quotient.V):
+        if v:
+            z = [a + v * b for a, b in zip(z, row)]
+    return z
+
+
+class DenseSubLattice:
+    """Reference copy of the dense echelon kernel that SubLattice replaced:
+    every reduction runs over all columns from the pivot on."""
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def add(self, vec) -> bool:
+        """Add a vector to the span; returns True if the lattice grew."""
+        if len(vec) != self.dim:
+            raise ValueError("vector dimension mismatch")
+        vec = list(vec)
+        grew = False
+        pos = 0
+        while True:
+            j = next((c for c in range(pos, self.dim) if vec[c]), None)
+            if j is None:
+                return grew
+            r = bisect_left(self.pivots, j)
+            if r == len(self.pivots) or self.pivots[r] != j:
+                if vec[j] < 0:
+                    vec = [-v for v in vec]
+                self.rows.insert(r, vec)
+                self.pivots.insert(r, j)
+                return True
+            row = self.rows[r]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                for c in range(j, self.dim):
+                    vec[c] -= q * row[c]
+            else:
+                x, y, g = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                for c in range(j, self.dim):
+                    rc, vc = row[c], vec[c]
+                    row[c] = x * rc + y * vc
+                    vec[c] = ag * vc - bg * rc
+                grew = True  # pivot shrank from |a| to g
+            pos = j + 1
+
+    def contains(self, vec) -> bool:
+        if len(vec) != self.dim:
+            raise ValueError("vector dimension mismatch")
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if vec[p] == 0:
+                continue
+            q, r = divmod(vec[p], row[p])
+            if r != 0:
+                return False
+            for c in range(p, self.dim):
+                vec[c] -= q * row[c]
+        return not any(vec)
+
+
+# reference copy of the dense Smith normal form that smith_normal_form replaced
+def dense_smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Smith normal form D = U @ A @ V with U, V unimodular.
+
+    Returns (D, V); U is not built.  D is diagonal with d_i >= 0 and
+    d_i | d_{i+1}.  Its caller, SubLattice.quotient, passes echelon rows:
+    at most one row per column.
+    """
+    A = [row.copy() for row in matrix]
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
+        # rows_i, rows_j <- x*rows_i + y*rows_j, xx*rows_i + yy*rows_j
+        ri, rj = A[i], A[j]
+        for c in range(ncols):
+            a, b = ri[c], rj[c]
+            ri[c] = x * a + y * b
+            rj[c] = xx * a + yy * b
+
+    def col_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
+        for M in (A, V):
+            for row in M:
+                a, b = row[i], row[j]
+                row[i] = x * a + y * b
+                row[j] = xx * a + yy * b
+
+    def swap_cols(i: int, j: int) -> None:
+        for M in (A, V):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+
+    k = 0
+    size = min(nrows, ncols)
+    while k < size:
+        # move a nonzero pivot of minimal magnitude into (k, k)
+        pivot = None
+        for i in range(k, nrows):
+            for j in range(k, ncols):
+                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        A[k], A[pivot[0]] = A[pivot[0]], A[k]
+        swap_cols(k, pivot[1])
+        while True:
+            for i in range(k + 1, nrows):
+                if A[i][k]:
+                    if A[i][k] % A[k][k] == 0:
+                        row_op(k, i, 1, 0, -(A[i][k] // A[k][k]), 1)
+                    else:
+                        # gcd rotation; strictly shrinks |A[k][k]|
+                        x, y, g = _xgcd(A[k][k], A[i][k])
+                        ag, bg = A[k][k] // g, A[i][k] // g
+                        row_op(k, i, x, y, -bg, ag)
+            if any(A[k][j] for j in range(k + 1, ncols)):
+                for j in range(k + 1, ncols):
+                    if A[k][j]:
+                        if A[k][j] % A[k][k] == 0:
+                            col_op(k, j, 1, 0, -(A[k][j] // A[k][k]), 1)
+                        else:
+                            x, y, g = _xgcd(A[k][k], A[k][j])
+                            ag, bg = A[k][k] // g, A[k][j] // g
+                            col_op(k, j, x, y, -bg, ag)
+                continue  # column clearing may have refilled the k-th column
+            if not any(A[i][k] for i in range(k + 1, nrows)):
+                break
+        # enforce divisibility d_k | A[i][j] on the trailing block
+        offender = None
+        for i in range(k + 1, nrows):
+            for j in range(k + 1, ncols):
+                if A[i][j] % A[k][k]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(k, offender, 1, 1, 0, 1)  # add offending row to row k
+            continue  # redo elimination at the same k
+        if A[k][k] < 0:
+            A[k] = [-v for v in A[k]]
+        k += 1
+    return A, V
 
 
 @pytest.fixture

@@ -1,13 +1,18 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qpoints.cli import _build_parser, _json_text, main
+import qpoints
+from qpoints.cli import EXIT_BROKEN_PIPE, _build_parser, _json_text, main
 from qpoints.gallery import (
     all_ones_matrix,
     block_matrix,
@@ -481,6 +486,26 @@ class TestGraph:
         out = capsys.readouterr().out
         data = json.loads(out[: out.rindex("}") + 1])
         assert len(data["nodes"]) == 2
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self):
+        # the body (about 130 kB) overfills the pipe, so the writer is still
+        # blocked on it when the reader closes after the first line
+        src = Path(qpoints.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qpoints.cli", "graph", "5", "--long", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+        assert stderr == b""
 
 
 class TestOut:

@@ -1,9 +1,15 @@
 import random
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import kernel_rank, snf_diagonal
+from conftest import (
+    DenseSubLattice,
+    dense_smith_normal_form,
+    kernel_rank,
+    quotient_image,
+    snf_diagonal,
+)
 from qpoints.adequacy import enumerate_adequate, is_adequate
 from qpoints.degeneration import enumerate_nodes
 from qpoints.lattice import (
@@ -16,6 +22,7 @@ from qpoints.lattice import (
     smith_normal_form,
     span,
     triple_char,
+    triple_chars,
 )
 from qpoints.realize import generic_point_of_node
 from qpoints.scalars import NameSupply
@@ -279,6 +286,71 @@ class TestSmithNormalForm:
             assert SubLattice.span(AV, c) == SubLattice.span(D, c)
 
 
+@st.composite
+def vector_batches(draw):
+    """A dimension, vectors to add, and probes: random vectors and small
+    integer combinations of the added ones."""
+    dim = draw(st.integers(1, 8))
+    vector = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    vecs = draw(st.lists(vector, max_size=10))
+    probes = draw(st.lists(vector, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(vecs), max_size=len(vecs)))
+        probes.append([sum(q * v[c] for q, v in zip(coeffs, vecs)) for c in range(dim)])
+    return dim, vecs, probes
+
+
+@st.composite
+def character_spans(draw):
+    """A dimension n = 2..8 and a random list of its triple characters."""
+    n = draw(st.integers(2, 8))
+    chars = list(triple_chars(n).values())
+    picks = draw(st.lists(st.integers(0, len(chars) - 1), max_size=3 * n))
+    return n, [chars[b] for b in picks]
+
+
+class TestSparseKernel:
+    # the support-walking kernel against the dense reference copies in
+    # conftest: the same integer operations, so identical rows, pivots,
+    # answers, D and V
+
+    def _check_spans_alike(self, dim, vecs, probes):
+        lat, ref = SubLattice(dim), DenseSubLattice(dim)
+        for v in vecs:
+            assert lat.add(v) == ref.add(v)
+            assert (lat.rows, lat.pivots) == (ref.rows, ref.pivots)
+            assert lat.supports == [[c for c, x in enumerate(row) if x] for row in lat.rows]
+        for v in probes:
+            assert lat.contains(v) == ref.contains(v)
+        return lat
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vector_batches())
+    @example((2, [[4, 6], [6, 9], [0, 3]], [[2, 3], [0, 1]]))
+    def test_random_vectors(self, batch):
+        dim, vecs, probes = batch
+        lat = self._check_spans_alike(dim, vecs, probes)
+        rows = lat.rows or [[0] * dim]
+        assert smith_normal_form(rows) == dense_smith_normal_form(rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=8)
+    ))
+    @example([[2, 0], [0, 3]])  # d_1 = 1 only after the offender row is added
+    @example([[4, 6], [6, 4]])  # gcd rotations on both rows and columns
+    def test_random_matrices_smith_form(self, A):
+        assert smith_normal_form(A) == dense_smith_normal_form(A)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(character_spans())
+    def test_character_spans(self, drawn):
+        n, chars = drawn
+        lat = self._check_spans_alike(num_pairs(n), chars, list(triple_chars(n).values()))
+        rows = lat.rows or [[0] * lat.dim]
+        assert smith_normal_form(rows) == dense_smith_normal_form(rows)
+
+
 class TestQuotient:
     def test_membership_agrees_with_sublattice(self, rng):
         lattices = [SubLattice.span([(2, 0, 0)], 3), SubLattice(3)]
@@ -295,14 +367,14 @@ class TestQuotient:
                     for row in lat.rows:
                         q = rng.randint(-2, 2)
                         v = [a + q * b for a, b in zip(v, row)]
-                assert quotient.is_zero(quotient.image(v)) == lat.contains(v)
+                assert quotient.is_zero(quotient_image(quotient, v)) == lat.contains(v)
 
     def test_torsion_of_even_vectors(self):
         quotient = SubLattice.span([(2, 0, 0)], 3).quotient()
         assert quotient.torsion == ((0, 2),)
         assert len(quotient.free) == 2
-        assert quotient.is_zero(quotient.image((-4, 0, 0)))
-        assert not quotient.is_zero(quotient.image((1, 0, 0)))
+        assert quotient.is_zero(quotient_image(quotient, (-4, 0, 0)))
+        assert not quotient.is_zero(quotient_image(quotient, (1, 0, 0)))
 
     def test_free_rank_minus_n_is_node_label(self):
         for n in (2, 3, 4, 5):

@@ -39,6 +39,20 @@ OBSTRUCTED = TripleSet.of(
 )
 
 
+def beyond_catalog_draws(n: int) -> list[TripleSet]:
+    """Thirty seeded adequate collections of dimension n: complements of
+    quartet-closed sets, every other one containing the octahedron behind
+    OBSTRUCTED."""
+    rng = random.Random(n)
+    draws = []
+    for k in range(30):
+        picks = rng.sample(all_triples(n), rng.randint(0, n))
+        if k % 2:
+            picks += list(OBSTRUCTED.complement())
+        draws.append(quartet_saturate(TripleSet.of(n, picks)).complement())
+    return draws
+
+
 class TestRealize:
     def test_reference_collection(self):
         C = p3_two_planes_collection()
@@ -136,12 +150,7 @@ class TestRealizeAll:
         # the complement of a quartet-closed set is adequate; every other
         # draw contains the octahedron behind OBSTRUCTED, so both outcomes
         # occur: an exact realization, or the forced planes of C named
-        rng = random.Random(n)
-        for k in range(30):
-            picks = rng.sample(all_triples(n), rng.randint(0, n))
-            if k % 2:
-                picks += list(OBSTRUCTED.complement())
-            C = quartet_saturate(TripleSet.of(n, picks)).complement()
+        for C in beyond_catalog_draws(n):
             result = realize(C)
             if result.success:
                 assert good_triples(result.matrix).complement() == C
@@ -196,6 +205,12 @@ class TestPinnedOutputs:
     # forced solution shows up here even when it still verifies
     REALIZE_CLASS_5 = "76b6b5904d6290a7058b7aa7c70b7fb1424a4b5e5822ede803c46a991e60d960"
     FORCED_PENTAGONAL = "3954ff0e730859c0c9001283141b3bbd1e1894cfb1dd3e57c64515c45ac82a72"
+    REALIZE_BEYOND_CATALOG = {
+        6: "2f47845c3539af0ed5bf909ec57ba64c503caa7bd27655d634598108335cfec6",
+        7: "840771a4ed48646eb48e9d58fb25c5d99ca5cf384494a35c9d10a5d37fe7160a",
+        8: "9a1ab8b0cc4abad35979d2a86926d131b4b6bee357469c698dcf7c0847f649f6",
+    }
+    REALIZE_EMPTY_12 = "30d0d24444aced2e62da7dcfd1b5ea3af57b67edede4b9df95b4ac4d5d353599"
 
     def test_realize_class_5_outputs(self, capsys):
         digest = hashlib.sha256()
@@ -203,6 +218,25 @@ class TestPinnedOutputs:
             code = main(["realize", "--class", "5", str(k)])
             digest.update(f"{k} {code}\n{capsys.readouterr().out}".encode())
         assert digest.hexdigest() == self.REALIZE_CLASS_5
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_realize_beyond_the_catalog_outputs(self, n, tmp_path, capsys):
+        # realize FILE on the seeded round-trip draws pins V beyond n = 5
+        digest = hashlib.sha256()
+        path = tmp_path / "collection.json"
+        for k, C in enumerate(beyond_catalog_draws(n)):
+            path.write_text(json.dumps({"n": n, "triples": [list(t) for t in C]}))
+            code = main(["realize", str(path)])
+            captured = capsys.readouterr()
+            digest.update(f"{k} {code}\n{captured.out}{captured.err}".encode())
+        assert digest.hexdigest() == self.REALIZE_BEYOND_CATALOG[n]
+
+    def test_realize_empty_collection_n12_output(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 12, "triples": []}))
+        assert main(["realize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REALIZE_EMPTY_12
 
     def test_forced_pentagonal_output(self, tmp_path, capsys):
         G = pentagonal_good_set()

@@ -37,6 +37,48 @@ def test_smith_normal_form_called_only_in_lattice():
     assert len(found) == 1 and found[0].startswith("lattice.py:"), found
 
 
+LATTICE_STATE = {"rows", "pivots", "supports"}
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def lattice_state_writes(tree: ast.AST) -> list[int]:
+    """Lines that assign to, delete or mutate in place an attribute named
+    rows, pivots or supports, or an item of one."""
+
+    def rooted(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in LATTICE_STATE
+
+    lines = []
+    for node in ast.walk(tree):
+        stored = isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del))
+        mutated = (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+            and rooted(node.func.value)
+        )
+        if (stored and rooted(node)) or mutated:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_sublattice_state_written_only_in_lattice():
+    # SubLattice keeps supports in step with rows and pivots, which holds
+    # only while lattice.py alone writes them
+    package = Path(qpoints.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "lattice.py"
+        for line in lattice_state_writes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    probe = "lat.rows = []\nlat.pivots[0] = 1\nlat.supports[0][1] += 2\nlat.rows.insert(0, r)\ndel lat.pivots[0]\nx = lat.rows[0]"
+    assert lattice_state_writes(ast.parse(probe)) == [1, 2, 3, 4, 5]
+
+
 def test_torsion_limit_read_only_by_solution_family():
     # one solver lists the torsion characters of b_t = 1, so the search
     # limit is read in SolutionFamily.characters and nowhere else
