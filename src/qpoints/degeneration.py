@@ -10,7 +10,10 @@ variety), transitively reduced.  One traversal of the closure lattice builds
 both: adjoining one triple to a class representative and closing gives the
 next classes, and the transitive reduction of these one-step inclusions is
 the arrow set.  The four-index rule (quartet_saturate) does most of each
-closing; the exact lattice closure runs once per class of its result.
+closing, one worklist step from the representative; the distinct results
+for one representative are canonicalized together in one batched gather,
+and the exact lattice closure, which also yields the node label, runs once
+per class of a result.
 This module builds only the graph; the character equations
 b_t = 1 of a node are solved in realize (SolutionFamily).
 """
@@ -21,8 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .lattice import closure, node_label, quartet_saturate
-from .triples import TripleSet, canonical_mask, canonical_mask_orbit, num_triples
+import numpy as np
+
+from .lattice import _closure_label, _quartet_add, node_label
+from .triples import TripleSet, canonical_mask_orbit, mask_images, num_triples
 from .variety import components
 
 
@@ -81,17 +86,6 @@ def node_ids(nodes: Sequence[DegNode]) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _node_from_closed(closed: TripleSet) -> DegNode:
-    n = closed.n
-    cm, orbit = canonical_mask_orbit(n, closed.mask)
-    return DegNode(
-        closed_set=TripleSet(n, cm),
-        label=node_label(closed),
-        type_vector=components(closed).type_vector,
-        orbit_size=orbit,
-    )
-
-
 def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     """Closed-set classes and one-step inclusions by closure-lattice
     traversal with symmetry pruning.
@@ -101,35 +95,42 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     way because dropping one element of a minimal generating set yields a
     smaller closed set.  The closing takes two steps.  First the four-index
     rule: L = quartet_saturate(K + t) lies between K + t and closure(K + t),
-    so closure(L) = closure(K + t).  Then the exact lattice closure, once
-    per canonical class of L: closure commutes with the coordinate
-    permutations, so the class of L fixes the class of its closure.  Each
-    step records the canonical masks (K, closure(K + t)).  These pairs hold
-    every cover: if M covers K, then M = closure(K + t) for any t in M but
-    not in K.  They may hold non-covers too.
+    so closure(L) = closure(K + t).  K is closed, so L is one worklist step
+    from K, and the distinct L of all extensions of K are canonicalized by
+    one batched gather.  Then the exact lattice closure, once per canonical
+    class of L: closure commutes with the coordinate permutations, so the
+    class of L fixes the class of its closure.  The same span gives the
+    node label, and a new class is canonicalized once, with its orbit size.
+    Each step records the canonical masks (K, closure(K + t)).  These pairs
+    hold every cover: if M covers K, then M = closure(K + t) for any t in M
+    but not in K.  They may hold non-covers too.
     """
-    nodes = [_node_from_closed(TripleSet.empty(n))]
+    empty = TripleSet.empty(n)
+    # canonical closed mask -> (a closed set of the class, its label, orbit size)
+    classes = {0: (empty, node_label(empty), 1)}
     closed_class: dict[int, int] = {}  # canonical L -> canonical closure(L)
-    seen = {0}
     steps: set[tuple[int, int]] = set()
     frontier = [0]
     while frontier:
         next_frontier = []
         for k in frontier:
-            for b in range(num_triples(n)):
-                if k >> b & 1:
-                    continue
-                lm = canonical_mask(n, quartet_saturate(TripleSet(n, k | 1 << b)).mask)
+            ls = {_quartet_add(n, k, b) for b in range(num_triples(n)) if not k >> b & 1}
+            images = mask_images(n, np.fromiter(ls, dtype=np.int64, count=len(ls)))
+            for lm in set(images.min(axis=1).tolist()):
                 cm = closed_class.get(lm)
                 if cm is None:
-                    closed = closure(TripleSet(n, lm))
-                    cm = closed_class[lm] = canonical_mask(n, closed.mask)
-                    if cm not in seen:
-                        seen.add(cm)
-                        nodes.append(_node_from_closed(closed))
+                    closed, label = _closure_label(TripleSet(n, lm))
+                    cm, orbit = canonical_mask_orbit(n, closed.mask)
+                    closed_class[lm] = cm
+                    if cm not in classes:
+                        classes[cm] = (closed, label, orbit)
                         next_frontier.append(cm)
                 steps.add((k, cm))
         frontier = next_frontier
+    nodes = [
+        DegNode(TripleSet(n, cm), label, components(closed).type_vector, orbit)
+        for cm, (closed, label, orbit) in classes.items()
+    ]
     return nodes, steps
 
 

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
-from .triples import Triple, TripleSet, all_triples, check_triple, quartet_masks
+from .triples import Triple, TripleSet, all_triples, check_triple, num_triples, quartet_masks
 
 
 #: Largest finite component group, as a product of torsion orders, that is
@@ -247,12 +247,51 @@ def closure(J: TripleSet) -> TripleSet:
     combination of the characters of J.  The operator is extensive, monotone
     and idempotent.
     """
+    return _closure_label(J)[0]
+
+
+def _closure_label(J: TripleSet) -> tuple[TripleSet, int]:
+    """closure(J) and node_label(J), read off one span of J's characters
+    (the closure has the same span, hence the same label)."""
     lat = span(J)
     mask = J.mask
     for b, char in enumerate(triple_chars(J.n).values()):
         if not mask >> b & 1 and lat.contains(char):
             mask |= 1 << b
-    return TripleSet(J.n, mask)
+    return TripleSet(J.n, mask), num_pairs(J.n) - lat.rank - J.n
+
+
+@lru_cache(maxsize=None)
+def _quartets_through(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each triple bit, the n - 2 quartet masks holding that face."""
+    through: list[list[int]] = [[] for _ in range(num_triples(n))]
+    for quartet in quartet_masks(n):
+        m = quartet
+        while m:
+            low = m & -m
+            through[low.bit_length() - 1].append(quartet)
+            m ^= low
+    return tuple(map(tuple, through))
+
+
+def _quartet_add(n: int, mask: int, b: int) -> int:
+    """quartet_saturate of mask + bit b, for a mask already closed under
+    the four-index rule.
+
+    A quartet can only gain its third face from a bit that was just added,
+    so a worklist rechecks the quartets through b, then through each bit
+    that they force, and nothing else.
+    """
+    through = _quartets_through(n)
+    mask |= 1 << b
+    todo = [b]
+    while todo:
+        for quartet in through[todo.pop()]:
+            missing = quartet & ~mask
+            if missing and not missing & (missing - 1):
+                mask |= missing
+                todo.append(missing.bit_length() - 1)
+    return mask
 
 
 def quartet_saturate(J: TripleSet) -> TripleSet:
@@ -264,16 +303,14 @@ def quartet_saturate(J: TripleSet) -> TripleSet:
     closure(J) and has the same closure, which makes this the cheap first
     closure of the degeneration traversal; its fixed points are exactly
     the complements of the adequate collections.
+
+    The empty set is closed, so adding the bits of J one at a time with
+    _quartet_add, which keeps the running mask closed, reaches the fixed
+    point.
     """
-    mask = J.mask
-    changed = True
-    while changed:
-        changed = False
-        for quartet in quartet_masks(J.n):
-            missing = quartet & ~mask
-            if missing and not missing & (missing - 1):
-                mask |= missing
-                changed = True
+    mask = 0
+    while rest := J.mask & ~mask:
+        mask = _quartet_add(J.n, mask, (rest & -rest).bit_length() - 1)
     return TripleSet(J.n, mask)
 
 

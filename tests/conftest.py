@@ -6,10 +6,22 @@ import numpy as np
 import pytest
 
 from qpoints.adequacy import _witness_masks
+from qpoints.degeneration import DegNode
 from qpoints.realize import generic_point_of_node
-from qpoints.lattice import _xgcd, closure, span
+from qpoints.lattice import _xgcd, closure, node_label, span
 from qpoints.scalars import GroupScalar, NameSupply, QMatrix
-from qpoints.triples import Triple, TripleSet, _perm_mask_tables, all_triples, mask_images, num_triples
+from qpoints.triples import (
+    Triple,
+    TripleSet,
+    _perm_mask_tables,
+    all_triples,
+    canonical_mask,
+    canonical_mask_orbit,
+    mask_images,
+    num_triples,
+    quartet_masks,
+)
+from qpoints.variety import components
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131]
@@ -236,6 +248,56 @@ def dense_smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], l
             A[k] = [-v for v in A[k]]
         k += 1
     return A, V
+
+
+def fixed_point_quartet_saturate(J: TripleSet) -> TripleSet:
+    """Reference copy of the four-index rule as a fixed-point loop: rescan
+    every tetrahedron until no pass adds a face (oracle for
+    quartet_saturate and its worklist step)."""
+    mask = J.mask
+    changed = True
+    while changed:
+        changed = False
+        for quartet in quartet_masks(J.n):
+            missing = quartet & ~mask
+            if missing and not missing & (missing - 1):
+                mask |= missing
+                changed = True
+    return TripleSet(J.n, mask)
+
+
+def per_extension_closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
+    """Reference copy of the closure-lattice traversal that saturates and
+    canonicalizes one extension K + t at a time, and builds each new node
+    from its closed set (oracle for degeneration._closed_reps_bfs)."""
+
+    def node_from_closed(closed: TripleSet) -> DegNode:
+        cm, orbit = canonical_mask_orbit(n, closed.mask)
+        return DegNode(TripleSet(n, cm), node_label(closed), components(closed).type_vector, orbit)
+
+    nodes = [node_from_closed(TripleSet.empty(n))]
+    closed_class: dict[int, int] = {}  # canonical L -> canonical closure(L)
+    seen = {0}
+    steps: set[tuple[int, int]] = set()
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for k in frontier:
+            for b in range(num_triples(n)):
+                if k >> b & 1:
+                    continue
+                lm = canonical_mask(n, fixed_point_quartet_saturate(TripleSet(n, k | 1 << b)).mask)
+                cm = closed_class.get(lm)
+                if cm is None:
+                    closed = closure(TripleSet(n, lm))
+                    cm = closed_class[lm] = canonical_mask(n, closed.mask)
+                    if cm not in seen:
+                        seen.add(cm)
+                        nodes.append(node_from_closed(closed))
+                        next_frontier.append(cm)
+                steps.add((k, cm))
+        frontier = next_frontier
+    return nodes, steps
 
 
 @pytest.fixture

@@ -7,12 +7,12 @@ import pytest
 
 import random
 
-from conftest import snf_diagonal
+from conftest import per_extension_closed_reps_bfs, snf_diagonal
 from qpoints.cli import main
 from qpoints.degeneration import (
     BudgetError,
     DegNode,
-    _node_from_closed,
+    _closed_reps_bfs,
     build_graph,
     enumerate_nodes,
     graph_json_dict,
@@ -25,6 +25,7 @@ from qpoints.lattice import (
     TORSION_SEARCH_LIMIT,
     SubLattice,
     closure,
+    node_label,
     num_pairs,
     pair_list,
     smith_normal_form,
@@ -32,8 +33,15 @@ from qpoints.lattice import (
 )
 from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node
 from qpoints.scalars import NameSupply
-from qpoints.triples import TripleSet, all_triples, canonical_mask, mask_images, num_triples
-from qpoints.variety import good_triples
+from qpoints.triples import (
+    TripleSet,
+    all_triples,
+    canonical_mask,
+    canonical_mask_orbit,
+    mask_images,
+    num_triples,
+)
+from qpoints.variety import components, good_triples
 
 # Reference classification of the five-variable degeneration graph:
 # sixteen classes keyed by display id, and the reduced arrow diagram.
@@ -73,12 +81,10 @@ def scan_closed_reps(n: int) -> list[DegNode]:
         by_canon[cm] = (rep, count + 1)
     nodes = []
     for J, count in by_canon.values():
-        node = _node_from_closed(J)
-        if node.orbit_size != count:
-            raise RuntimeError(
-                f"orbit of {J} has {node.orbit_size} images but the scan met {count}"
-            )
-        nodes.append(node)
+        cm, orbit = canonical_mask_orbit(n, J.mask)
+        if orbit != count:
+            raise RuntimeError(f"orbit of {J} has {orbit} images but the scan met {count}")
+        nodes.append(DegNode(TripleSet(n, cm), node_label(J), components(J).type_vector, orbit))
     nodes.sort(key=lambda node: (node.label, node.closed_set.mask))
     return nodes
 
@@ -199,17 +205,28 @@ class TestNodes:
         assert not isinstance(excinfo.value, BudgetError)
 
     def test_scan_rejects_inconsistent_orbit(self, monkeypatch):
-        import qpoints.degeneration as degeneration
-
-        real = degeneration.canonical_mask_orbit
+        real = canonical_mask_orbit
 
         def miscounted(n, mask):
             cm, orbit = real(n, mask)
             return cm, orbit + 1
 
-        monkeypatch.setattr(degeneration, "canonical_mask_orbit", miscounted)
+        monkeypatch.setitem(scan_closed_reps.__globals__, "canonical_mask_orbit", miscounted)
         with pytest.raises(RuntimeError, match="orbit"):
             scan_closed_reps(2)
+
+    def test_traversal_matches_per_extension_oracle(self):
+        # the batched traversal meets the same classes and the same raw
+        # one-step inclusions, before any sorting or transitive reduction
+        def key(node):
+            return node.closed_set.mask, node.label, node.type_vector, node.orbit_size
+
+        for n in range(6):
+            nodes, steps = _closed_reps_bfs(n)
+            ref_nodes, ref_steps = per_extension_closed_reps_bfs(n)
+            assert sorted(map(key, nodes)) == sorted(map(key, ref_nodes))
+            assert len(nodes) == len(ref_nodes)
+            assert steps == ref_steps
 
     def test_ids_disambiguate(self):
         nodes = enumerate_nodes(4)

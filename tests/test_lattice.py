@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     DenseSubLattice,
     dense_smith_normal_form,
+    fixed_point_quartet_saturate,
     kernel_rank,
     quotient_image,
     snf_diagonal,
@@ -14,6 +15,8 @@ from qpoints.adequacy import enumerate_adequate, is_adequate
 from qpoints.degeneration import enumerate_nodes
 from qpoints.lattice import (
     SubLattice,
+    _closure_label,
+    _quartet_add,
     closure,
     node_label,
     num_pairs,
@@ -41,6 +44,11 @@ def closure_rule_gap(n):
         if quartet_saturate(J) != closure(J):
             gaps.append(J)
     return gaps
+
+
+def random_set(rng, n, density):
+    """Seeded triple set holding each triple with the given probability."""
+    return TripleSet(n, sum(1 << b for b in range(num_triples(n)) if rng.random() < density))
 
 
 def vec_add(*vs):
@@ -204,6 +212,23 @@ class TestQuartetSaturate:
         assert quartet_saturate(J) == J
         assert closure(J) == J | [(0, 1, 2)]
 
+    def test_matches_fixed_point_oracle(self, rng):
+        # seeded sets of every density, n = 0..8
+        for n in range(9):
+            for _ in range(40):
+                J = random_set(rng, n, rng.random())
+                assert quartet_saturate(J) == fixed_point_quartet_saturate(J)
+
+    def test_worklist_step_from_a_closed_set(self, rng):
+        # one step from a quartet-closed K is the full saturation of K + t
+        for n in range(9):
+            for _ in range(10):
+                K = fixed_point_quartet_saturate(random_set(rng, n, rng.random() / 4))
+                for b in range(num_triples(n)):
+                    if not K.mask >> b & 1:
+                        full = fixed_point_quartet_saturate(TripleSet(n, K.mask | 1 << b))
+                        assert _quartet_add(n, K.mask, b) == full.mask
+
     def test_table_holds_the_faces_of_each_quartet(self):
         for n in range(8):
             table = quartet_masks(n)
@@ -233,6 +258,12 @@ class TestNodeLabel:
 
     def test_commutative_node(self):
         assert node_label(TripleSet.full(3)) == 0
+
+    def test_closure_label_is_one_span(self, rng):
+        for _ in range(40):
+            n = rng.randint(0, 6)
+            J = random_set(rng, n, rng.random() / 2)
+            assert _closure_label(J) == (closure(J), node_label(J))
 
     def test_single_plane_in_p4(self):
         assert node_label(TripleSet.of(4, [(0, 1, 2)])) == 5

@@ -98,10 +98,18 @@ class TestCanonicalization:
         assert TripleSet.full(6).canonical() == TripleSet.full(6)
 
     def test_batch_matches_single(self, rng):
-        for n in (3, 5, 6):
-            masks = [rng.getrandbits(num_triples(n)) for _ in range(20)]
-            batch = canonical_masks(n, np.array(masks, dtype=np.int64))
-            assert batch.tolist() == [canonical_mask(n, m) for m in masks]
+        # one gather over an int64 array, as the degeneration traversal
+        # canonicalizes, and the blocked batch oracle; the empty mask and
+        # masks with the top triple bit (bit 34 at n = 6) included
+        for n in range(7):
+            nt = num_triples(n)
+            masks = [0] + [rng.getrandbits(nt) for _ in range(20)]
+            if nt:
+                masks += [1 << nt - 1, (1 << nt) - 1, rng.getrandbits(nt) | 1 << nt - 1]
+            single = [canonical_mask(n, m) for m in masks]
+            array = np.array(masks, dtype=np.int64)
+            assert mask_images(n, array).min(axis=1).tolist() == single
+            assert canonical_masks(n, array).tolist() == single
 
     def test_table_sizes(self):
         assert [t.shape for t in _perm_mask_tables(4)] == [(1024, 120)]
