@@ -42,7 +42,7 @@ from .degeneration import (
     to_dot,
 )
 from .realize import NotAdequateError, forced_solutions, realize, realize_all
-from .scalars import MatrixFormatError, ScalarError, qmatrix_from_json
+from .scalars import MatrixFormatError, ScalarError, _json_int, qmatrix_from_json
 from .triples import TripleSet
 from .variety import components, good_triples, ideal_generators
 
@@ -119,12 +119,6 @@ def _load_matrix(path: str):
     return qmatrix_from_json(Path(path).read_text())
 
 
-def _json_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MatrixFormatError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _load_collection(path: str) -> TripleSet:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
@@ -135,8 +129,8 @@ def _load_collection(path: str) -> TripleSet:
     for entry in data["triples"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise MatrixFormatError(f"triple must have three indices: {entry!r}")
-        triples.append(tuple(sorted(_json_int(v) for v in entry)))
-    n = _json_int(data["n"])
+        triples.append(tuple(sorted(_json_int(v, "triple index") for v in entry)))
+    n = _json_int(data["n"], "n")
     if n < 0:
         raise ValueError("dimension index must be >= 0")
     return TripleSet.of(n, triples)

@@ -34,7 +34,7 @@ from .lattice import (
     pair_list,
     triple_chars,
 )
-from .scalars import GroupScalar, NameSupply, QMatrix
+from .scalars import GeneratorTable, GroupScalar, NameSupply, QMatrix
 from .triples import TripleSet, all_triples
 from .variety import good_triples
 
@@ -181,25 +181,27 @@ class SolutionFamily:
         m = self._exponent
         return sum((m // d) * c * z[i] for (i, d), c in zip(self.quotient.torsion, cand)) % m
 
-    def point(self, cand: tuple[int, ...], gens: dict) -> dict[tuple[int, int], GroupScalar]:
-        """Parameters of the solution with torsion character cand and the
-        generator gens[i] on each free column i."""
+    def point(self, cand: tuple[int, ...], gens: dict[int, str]) -> QMatrix:
+        """The solution with torsion character cand and the generator
+        gens[i] on each free column i, written as exponent rows: V's free
+        columns and the phase of cand."""
         m = self._exponent
-        modulus = m if m > 1 else 2
         free = self.quotient.free
-        return {
-            pair: GroupScalar.from_dict(
-                {gens[i]: row[i] for i in free if row[i]}, self.phase(cand, row), modulus
-            )
+        entries = {
+            pair: ([(gens[i], row[i]) for i in free], self.phase(cand, row))
             for row, pair in zip(self.quotient.V, pair_list(self.n))
         }
+        # V is unimodular, so every free column is nonzero on some row and
+        # the table is the sorted names of the nonzero exponents
+        table = GeneratorTable(tuple(sorted(gens.values())), m if m > 1 else 2)
+        return QMatrix._of_entries(self.n, table, entries)
 
     def solutions(self) -> list[dict[tuple[int, int], GroupScalar]]:
         """Explicit parameter assignments, when the solution set is finite
         and has at most TORSION_SEARCH_LIMIT elements."""
         if not self.is_finite:
             raise ValueError("solution set is positive-dimensional")
-        return [self.point(cand, {}) for cand in self.characters()]
+        return [self.point(cand, {}).upper for cand in self.characters()]
 
     def describe(self) -> str:
         parts = []
@@ -290,7 +292,7 @@ def generic_point_of_node(closed: TripleSet, supply: NameSupply | None = None) -
             "no torsion character separates the closed set; "
             f"{len(free_zero_outside)} torsion-coset triples obstruct"
         )
-    Q = QMatrix(n, family.point(choice, {i: supply.fresh() for i in quotient.free}))
+    Q = family.point(choice, {i: supply.fresh() for i in quotient.free})
     achieved = good_triples(Q)
     if achieved != closed:
         raise GenericPointError(

@@ -6,16 +6,24 @@ multiplicatively: a free part on named generators plus one distinguished
 root of unity of order m ("torsion").  All equality questions the package
 ever asks reduce to identities in this group, so there is no floating point
 anywhere and "generic" simply means "uses a generator nobody else uses".
+
+A matrix is its exponent array, not a table of GroupScalar objects: the
+JSON reader and the solver write the integer exponent rows directly, and
+the good-triple pass reads them as they are.  GroupScalar is the type of
+the compact string syntax and of single entries, built only when an entry
+is asked for.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping
+
+import numpy as np
 
 from .triples import Triple, check_triple
 
@@ -151,13 +159,14 @@ class GroupScalar:
         return "*".join(parts)
 
 
-def parse_scalar(text: str, modulus: int = 2) -> GroupScalar:
-    """Parse the compact string form, e.g. "a*b^-1*w" or "1"."""
+def _parse_terms(text: str) -> tuple[dict[str, int], int]:
+    """Exponents by generator name, and the power of w, of the compact
+    string form; repeated names are summed."""
     text = text.strip()
-    if text in ("1", ""):
-        return GroupScalar.one(modulus)
     exps: dict[str, int] = {}
     torsion = 0
+    if text in ("1", ""):
+        return exps, torsion
     for token in text.split("*"):
         token = token.strip()
         name, _, power = token.partition("^")
@@ -172,7 +181,12 @@ def parse_scalar(text: str, modulus: int = 2) -> GroupScalar:
             exps[name] = exps.get(name, 0) + e
         else:
             raise ScalarError(f"bad generator name {name!r} in {text!r}")
-    return GroupScalar.from_dict(exps, torsion, modulus)
+    return exps, torsion
+
+
+def parse_scalar(text: str, modulus: int = 2) -> GroupScalar:
+    """Parse the compact string form, e.g. "a*b^-1*w" or "1"."""
+    return GroupScalar.from_dict(*_parse_terms(text), modulus)
 
 
 @dataclass(frozen=True)
@@ -197,21 +211,15 @@ class GeneratorTable:
         return GroupScalar.one(self.torsion_modulus)
 
     @cached_property
-    def _name_set(self) -> frozenset[str]:
-        return frozenset(self.names)
+    def _columns(self) -> dict[str, int]:
+        """Column of each generator in a matrix's exponent rows: c for
+        names[c - 1], column 0 being the torsion phase."""
+        return {g: c for c, g in enumerate(self.names, 1)}
 
     def gen(self, name: str, power: int = 1) -> GroupScalar:
-        if name not in self._name_set:
+        if name not in self._columns:
             raise ScalarError(f"unknown generator {name!r}")
         return GroupScalar.generator(name, self.torsion_modulus, power)
-
-    def root(self, power: int = 1) -> GroupScalar:
-        return GroupScalar.root_of_unity(self.torsion_modulus, power)
-
-    def admits(self, s: GroupScalar) -> bool:
-        return s.modulus == self.torsion_modulus and all(
-            g in self._name_set for g, _ in s.exponents
-        )
 
 
 class NameSupply:
@@ -226,36 +234,118 @@ class NameSupply:
         return f"{self.prefix}{self._count}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class QMatrix:
-    """Multiplicatively antisymmetric (n+1) x (n+1) matrix of group scalars.
+    """Multiplicatively antisymmetric (n+1) x (n+1) matrix over the
+    parameter group, held as its exponent array.
 
-    Only the upper triangle is stored; the diagonal is 1 and the lower
-    triangle the inverses, by construction.
+    The array has one row per pair i < j, in lexicographic order, with
+    column 0 for the torsion phase (reduced mod the modulus) and column c
+    for the exponent of table.names[c - 1].  Only its nonzero entries are
+    kept, sorted by row and then column: entry k is vals[k] at (rows[k],
+    cols[k]).  vals has the narrowest integer type that holds 3 times the
+    modulus and every entry, so a signed sum of three rows is exact, and
+    holds Python integers (dtype object) beyond int64.  The diagonal is 1
+    and the lower triangle the inverses, by construction; the GroupScalar
+    entries of upper, entry and b are built from the array when asked for.
     """
 
     n: int
-    upper: dict[tuple[int, int], GroupScalar]
-    table: GeneratorTable = field(default=None)  # type: ignore[assignment]
+    table: GeneratorTable
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ScalarError("dimension index must be >= 0")
-        # Counting first keeps a huge n from building its pair set.
-        if len(self.upper) != self.n * (self.n + 1) // 2:
-            raise ScalarError("upper triangle must hold exactly the pairs i < j")
-        expected = {(i, j) for i in range(self.n + 1) for j in range(i + 1, self.n + 1)}
-        if set(self.upper) != expected:
-            raise ScalarError("upper triangle must hold exactly the pairs i < j")
-        if self.table is None:
-            names = sorted({g for s in self.upper.values() for g in s.generators()})
-            moduli = {s.modulus for s in self.upper.values()} or {2}
-            if len(moduli) != 1:
+    def __init__(
+        self,
+        n: int,
+        upper: Mapping[tuple[int, int], GroupScalar],
+        table: GeneratorTable | None = None,
+    ) -> None:
+        """The matrix with the given upper triangle.  Without a table, it is
+        the sorted generator names of the entries and their common modulus."""
+        moduli = {s.modulus for s in upper.values()}
+        if table is None:
+            if len(moduli) > 1:
                 raise TableMismatchError("entries use different torsion moduli")
-            object.__setattr__(self, "table", GeneratorTable(tuple(names), moduli.pop()))
-        for s in self.upper.values():
-            if not self.table.admits(s):
-                raise TableMismatchError("matrix entry not admitted by generator table")
+            names = sorted({g for s in upper.values() for g in s.generators()})
+            table = GeneratorTable(tuple(names), moduli.pop() if moduli else 2)
+        elif moduli - {table.torsion_modulus}:
+            raise TableMismatchError("matrix entry not admitted by generator table")
+        self.__post_init__(n, table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
+
+    @classmethod
+    def _of_entries(cls, n: int, table: GeneratorTable, entries: Mapping) -> "QMatrix":
+        """The matrix of entries, as in __post_init__, without GroupScalars."""
+        Q = cls.__new__(cls)
+        Q.__post_init__(n, table, entries)
+        return Q
+
+    def __post_init__(self, n: int, table: GeneratorTable, entries: Mapping) -> None:
+        """The step both constructors end in: fill the exponent rows from
+        entries[(i, j)] = (exponents, phase), the exponents as (name,
+        exponent) pairs, zeros allowed, and the phase reduced mod the
+        modulus.  The keys must be exactly the pairs i < j, and the table
+        must hold every name of a nonzero exponent."""
+        if n < 0:
+            raise ScalarError("dimension index must be >= 0")
+        # Counting first keeps a huge n from walking its pairs.
+        if len(entries) != n * (n + 1) // 2:
+            raise ScalarError("upper triangle must hold exactly the pairs i < j")
+        column = table._columns
+        found: list[tuple[int, int, int]] = []
+        p = 0
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                try:
+                    exps, phase = entries[i, j]
+                    if phase:
+                        found.append((p, 0, phase))
+                    found += [(p, column[g], e) for g, e in exps if e]
+                except KeyError:
+                    if (i, j) not in entries:
+                        raise ScalarError("upper triangle must hold exactly the pairs i < j") from None
+                    raise TableMismatchError("matrix entry not admitted by generator table") from None
+                p += 1
+        found.sort()  # in linear time when each entry lists its names in table order
+        rows, cols, vals = zip(*found) if found else ((), (), ())
+        # the narrowest type holding +-3 times the largest entry, so a sum
+        # of three rows is exact; object (Python integers) beyond int64
+        dtype = np.min_scalar_type(-3 * max([table.torsion_modulus, *map(abs, vals)]))
+        for name, value in (
+            ("n", n),
+            ("table", table),
+            ("rows", np.array(rows, np.intp)),
+            ("cols", np.array(cols, np.intp)),
+            ("vals", np.array(vals, dtype)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        return (
+            (self.n, self.table) == (other.n, other.table)
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.vals, other.vals)
+        )
+
+    @cached_property
+    def upper(self) -> dict[tuple[int, int], GroupScalar]:
+        """The upper triangle as {(i, j): q_ij}."""
+        names, modulus = self.table.names, self.table.torsion_modulus
+        pairs = [(i, j) for i in range(self.n + 1) for j in range(i + 1, self.n + 1)]
+        exps: list[list[tuple[str, int]]] = [[] for _ in pairs]
+        phase = [0] * len(pairs)
+        for p, c, e in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+            if c:
+                exps[p].append((names[c - 1], e))
+            else:
+                phase[p] = e
+        return {
+            pair: GroupScalar(tuple(x), t, modulus) for pair, x, t in zip(pairs, exps, phase)
+        }
 
     @classmethod
     def ones(cls, n: int, modulus: int = 2) -> "QMatrix":
@@ -346,36 +436,59 @@ class MatrixFormatError(ValueError):
     """Matrix JSON is structurally malformed."""
 
 
+def _json_int(value, what: str) -> int:
+    """value, which must be a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise MatrixFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
+    """The matrix of a parsed matrix file, read straight into its exponent
+    rows.  n, torsion_modulus, torsion phases and object-form exponents
+    must be JSON integers and generators a list of names, else
+    MatrixFormatError; a value the parameter group cannot hold raises
+    ScalarError.  Without a generators list, the table is the sorted names
+    of the nonzero exponents."""
     try:
-        n = int(data["n"])
-        modulus = int(data.get("torsion_modulus", 2))
-        names = tuple(str(g) for g in data.get("generators", ()))
-        raw_upper = data["upper"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFormatError(f"bad matrix JSON: {exc}") from exc
+        n, raw_upper = data["n"], data["upper"]
+    except KeyError as exc:
+        raise MatrixFormatError(f"bad matrix JSON: missing key {exc}") from exc
+    n = _json_int(n, "n")
+    modulus = _json_int(data.get("torsion_modulus", 2), "torsion_modulus")
+    names = data.get("generators", [])
+    if not (isinstance(names, list) and all(type(g) is str for g in names)):
+        raise MatrixFormatError("generators must be a list of names")
+    if modulus < 1:
+        raise ScalarError("torsion modulus must be >= 1")
     if not isinstance(raw_upper, Mapping):
         raise MatrixFormatError("upper must be an object of pair keys")
-    upper: dict[tuple[int, int], GroupScalar] = {}
+    entries = {}
     for key, value in raw_upper.items():
         try:
             i_str, j_str = str(key).split(",")
             pair = (int(i_str), int(j_str))
         except ValueError as exc:
             raise MatrixFormatError(f"bad pair key {key!r}") from exc
-        if isinstance(value, str):
-            upper[pair] = parse_scalar(value, modulus)
+        if type(value) is str:
+            exps, phase = _parse_terms(value)
+        elif isinstance(value, dict):
+            exps, phase = value.get("exponents", {}), value.get("torsion", 0)
+            if not isinstance(exps, dict):
+                raise MatrixFormatError(f"exponents of pair {key!r} must be an object")
+            for g, e in exps.items():
+                if type(e) is not int:
+                    raise MatrixFormatError(f"exponent of {g!r} in pair {key!r} must be an integer, got {e!r}")
+                if e and not _is_generator_name(g):
+                    raise ScalarError(f"bad generator name {g!r}")
+            if type(phase) is not int:
+                raise MatrixFormatError(f"torsion of pair {key!r} must be an integer, got {phase!r}")
         else:
-            try:
-                upper[pair] = GroupScalar.from_dict(
-                    {str(g): int(e) for g, e in value.get("exponents", {}).items()},
-                    int(value.get("torsion", 0)),
-                    modulus,
-                )
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise MatrixFormatError(f"bad scalar for pair {key!r}: {exc}") from exc
-    table = GeneratorTable(names, modulus) if names else None
-    return QMatrix(n, upper, table)
+            raise MatrixFormatError(f"bad scalar for pair {key!r}: expected a string or an object")
+        entries[pair] = (exps.items(), phase % modulus)
+    if not names:
+        names = sorted({g for exps, _ in entries.values() for g, e in exps if e})
+    return QMatrix._of_entries(n, GeneratorTable(tuple(names), modulus), entries)
 
 
 def qmatrix_from_json(text: str) -> QMatrix:

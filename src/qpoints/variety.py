@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import num_pairs, pair_list
+from .lattice import num_pairs
 from .scalars import QMatrix
 from .triples import Triple, TripleSet, all_triples
 
@@ -70,33 +70,25 @@ def good_triples(Q: QMatrix) -> TripleSet:
 
     These are exactly the triples with vanishing obstruction scalar
     b_ijk = q_ij * q_jk * q_ik^-1, equivalently the rank-one principal 3x3
-    blocks of Q.  Row p of the exponent array holds the torsion phase and
-    the generator exponents of the p-th pair's entry; b_ijk is row ij +
-    row jk - row ik with the phase reduced mod the torsion modulus, and the
-    triple is good iff that row is zero.  The integer type is chosen so
-    that a sum of three entries cannot overflow; entries beyond int64 run
-    the same code on Python integers (dtype object).  Generators are taken
-    in column blocks built from the nonzero entries and triples in
-    lexicographic chunks, so no array holds more than about _STEP_ENTRIES
-    entries.
+    blocks of Q.  Q is its exponent array (see QMatrix): row p holds the
+    torsion phase and the generator exponents of the p-th pair's entry.
+    b_ijk is row ij + row jk - row ik with the phase reduced mod the
+    torsion modulus, and the triple is good iff that row is zero.  The
+    integer type of Q.vals holds a sum of three entries; entries beyond
+    int64 run the same code on Python integers (dtype object).  Generators
+    are taken in column blocks scattered from the nonzero entries and
+    triples in lexicographic chunks, so no array holds more than about
+    _STEP_ENTRIES entries.
     """
-    n, table = Q.n, Q.table
-    column = {g: c for c, g in enumerate(table.names, 1)}  # column 0: torsion
-    scalars = [Q.upper[pair] for pair in pair_list(n)]
-    entries = [(p, column[g], e) for p, s in enumerate(scalars) for g, e in s.exponents]
-    entries += [(p, 0, s.torsion) for p, s in enumerate(scalars) if s.torsion]
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
-    # the narrowest integer type holding +-3 times the largest entry, so a
-    # sum of three rows is exact; object (Python integers) beyond int64
-    dtype = np.min_scalar_type(-3 * max([table.torsion_modulus, *map(abs, vals)]))
-    rows, cols, vals = np.array(rows, np.intp), np.array(cols, np.intp), np.array(vals, dtype)
+    n, modulus = Q.n, Q.table.torsion_modulus
+    rows, cols, vals = Q.rows, Q.cols, Q.vals
     ij, jk, ik = _triple_pairs(n)
     good = np.ones(len(ij), dtype=bool)
-    width, pairs = len(column) + 1, num_pairs(n)
+    width, pairs = len(Q.table.names) + 1, num_pairs(n)
     block = max(1, _STEP_ENTRIES // max(pairs, 1))
     for c0 in range(0, width, block):
         c1 = min(c0 + block, width)
-        E = np.zeros((pairs, c1 - c0), dtype)
+        E = np.zeros((pairs, c1 - c0), vals.dtype)
         inside = (cols >= c0) & (cols < c1)
         E[rows[inside], cols[inside] - c0] = vals[inside]
         live, step = np.flatnonzero(good), max(1, _STEP_ENTRIES // (c1 - c0))
@@ -106,7 +98,7 @@ def good_triples(Q: QMatrix) -> TripleSet:
             b += E[jk[r]]
             b -= E[ik[r]]
             if c0 == 0:
-                b[:, 0] %= table.torsion_modulus
+                b[:, 0] %= modulus
             good[r] = (b == 0).all(axis=1)
     return TripleSet(n, int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little"))
 

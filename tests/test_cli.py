@@ -94,6 +94,26 @@ class TestPts:
         assert main(["pts", str(path)]) == 2
         assert "upper" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"upper": {"0,1": {"exponents": {"a": 1.5}}}}, "exponent of 'a'"),
+            ({"n": 1.9}, "n"),
+            ({"n": True}, "n"),
+            ({"torsion_modulus": 2.5}, "torsion_modulus"),
+            ({"upper": {"0,1": {"torsion": True}}}, "torsion of pair"),
+            ({"generators": "ab"}, "generators"),
+        ],
+        ids=["float-exponent", "float-n", "bool-n", "float-modulus", "bool-torsion", "string-generators"],
+    )
+    def test_non_integer_number_exits_2(self, tmp_path, capsys, change, field):
+        # matrix files follow the collection-file rule: numbers are JSON
+        # integers, never bools, floats or strings cut down by int()
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps({"n": 1, "upper": {"0,1": "a"}} | change))
+        assert main(["pts", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_rank_one_25_variables_is_one_component(self, tmp_path, capsys):
         # q_ij = a_i^-1 * a_j makes every triple good, so the point variety
         # is all of P^24: far too many subsets (2^25) to visit one by one.

@@ -15,7 +15,8 @@ from qpoints.scalars import (
     parse_scalar,
     qmatrix_from_json,
 )
-from qpoints.triples import all_triples
+from qpoints.triples import TripleSet, all_triples
+from qpoints.variety import good_triples
 
 
 def q_entry(Q: QMatrix, i: int, j: int) -> GroupScalar:
@@ -199,3 +200,60 @@ class TestJson:
     def test_sign_matrix_roundtrip(self):
         Q = sign_matrix()
         assert qmatrix_from_json(Q.to_json()) == Q
+
+    BIG = 2**63  # one past the int64 range
+
+    @pytest.mark.parametrize(
+        "head, strings, objects, names",
+        [
+            (  # a cancels, so an inferred table drops it
+                {},
+                {"0,1": "a*a^-1*b", "0,2": "b", "1,2": "1"},
+                {"0,1": {"exponents": {"a": 0, "b": 1}}, "0,2": {"exponents": {"b": 1}}, "1,2": {}},
+                ("b",),
+            ),
+            (  # w^2 is 1 under modulus 2
+                {"torsion_modulus": 2},
+                {"0,1": "a*w^2", "0,2": "w^3", "1,2": "w"},
+                {"0,1": {"exponents": {"a": 1}, "torsion": 2}, "0,2": {"torsion": 3}, "1,2": {"torsion": 1}},
+                ("a",),
+            ),
+            (  # a given table keeps its unused name z
+                {"generators": ["b", "a", "z"]},
+                {"0,1": "a", "0,2": "b^2", "1,2": "a^-1*b^2"},
+                {"0,1": {"exponents": {"a": 1}}, "0,2": {"exponents": {"b": 2}}, "1,2": {"exponents": {"a": -1, "b": 2}}},
+                ("b", "a", "z"),
+            ),
+            (  # every phase is 0 under modulus 1
+                {"torsion_modulus": 1},
+                {"0,1": "w", "0,2": "a*w^5", "1,2": "a"},
+                {"0,1": {"torsion": 1}, "0,2": {"exponents": {"a": 1}, "torsion": 5}, "1,2": {"exponents": {"a": 1}}},
+                ("a",),
+            ),
+            (  # exponents beyond int64, with the one triple good
+                {},
+                {"0,1": f"a^{BIG}", "0,2": f"a^{BIG}*b^{-BIG - 1}", "1,2": f"b^{-BIG - 1}"},
+                {"0,1": {"exponents": {"a": BIG}}, "0,2": {"exponents": {"a": BIG, "b": -BIG - 1}}, "1,2": {"exponents": {"b": -BIG - 1}}},
+                ("a", "b"),
+            ),
+        ],
+        ids=["cancelled-name", "w-squared-mod-2", "unused-name", "modulus-1", "beyond-int64"],
+    )
+    def test_string_and_object_forms_agree(self, head, strings, objects, names):
+        from_strings = qmatrix_from_json(json.dumps({"n": 2, "upper": strings} | head))
+        from_objects = qmatrix_from_json(json.dumps({"n": 2, "upper": objects} | head))
+        modulus = head.get("torsion_modulus", 2)
+        from_scalars = QMatrix(
+            2,
+            {tuple(map(int, k.split(","))): parse_scalar(v, modulus) for k, v in strings.items()},
+            GeneratorTable(names, modulus),
+        )
+        assert from_strings.table.names == names
+        assert from_strings == from_objects == from_scalars
+        assert all(
+            from_strings.entry(i, j) == from_objects.entry(i, j) for i in range(3) for j in range(3)
+        )
+        assert from_strings.to_json() == from_objects.to_json()
+        assert qmatrix_from_json(from_strings.to_json()) == from_strings
+        oracle = TripleSet.of(2, [t for t in all_triples(2) if from_strings.b(t).is_one])
+        assert good_triples(from_strings) == good_triples(from_objects) == oracle

@@ -37,6 +37,19 @@ def test_smith_normal_form_called_only_in_lattice():
     assert len(found) == 1 and found[0].startswith("lattice.py:"), found
 
 
+def test_good_triples_reads_only_exponent_rows():
+    # a matrix is its exponent rows, so variety.py never goes back to
+    # GroupScalar entries: no name GroupScalar, no .upper or .exponents
+    path = Path(qpoints.__file__).parent / "variety.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else set()
+        names.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        if names & {"GroupScalar", "upper", "exponents"}:
+            found.append(f"variety.py:{node.lineno}")
+    assert found == []
+
+
 LATTICE_STATE = {"rows", "pivots", "supports"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 
