@@ -5,10 +5,10 @@ Not every collection can arise this way; the adequacy predicate below is a
 necessary condition.  Denseness is a stronger condition, kept for the
 classification (the catalog's dense flag and the two non-dense classes at
 n = 5); realization does not depend on it, only on whether the complement
-is closed under the character span.  The enumerator tests adequacy on all
-2^C(n+1,3) collection masks at once, one AND of two half-mask words per
-mask, and walks the adequate ones in ascending order: the first mask met in
-an orbit is its minimum, the canonical form (Read's orderly generation).
+is closed under the character span.  The complements of the adequate
+collections are the quartet-closed sets, so the catalog is lattice.traverse
+with no closing beyond the four-index rule.  adequate_masks, a sweep of all
+2^C(n+1,3) collection masks, stays as the reference for n <= 5.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from math import factorial
 
 import numpy as np
 
-from .triples import TripleSet, mask_images, num_triples, quartet_masks
+from .lattice import traverse
+from .triples import TripleSet, canonical_mask_orbit, num_triples, quartet_masks
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -119,18 +120,19 @@ def adequate_masks(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def enumerate_adequate(n: int) -> OrbitCatalog:
     """Catalog of all adequate collections up to coordinate symmetry, in
-    ascending order of canonical mask; one orbit computation per class."""
+    ascending order of canonical mask.  Their complements are the
+    quartet-closed sets, so lattice.traverse with no further closing meets
+    each class once; one gather per class, of the collection full ^ m,
+    gives its canonical mask and its orbit size."""
     if n < 0:
         raise ValueError(f"dimension index n must be >= 0, got {n}")
-    masks, reps, sizes = adequate_masks(n), [], []
-    unseen = np.ones(1 << num_triples(n), dtype=bool)
-    for m in masks.tolist():
-        if unseen[m]:
-            images = mask_images(n, m)
-            unseen[images] = False
-            reps.append(TripleSet(n, m))
-            sizes.append(len(images) // int(np.count_nonzero(images == m)))
-    return OrbitCatalog(n, tuple(reps), tuple(sizes), len(masks))
+    nt = num_triples(n)
+    if nt > 25:
+        raise ValueError(f"adequate enumeration over 2^{nt} collections (n = {n}) is out of budget; n <= 5")
+    full = (1 << nt) - 1
+    classes = sorted(traverse(n, lambda m: (m, canonical_mask_orbit(n, full ^ m)))[0].values())
+    sizes = tuple(size for _, size in classes)
+    return OrbitCatalog(n, tuple(TripleSet(n, c) for c, _ in classes), sizes, sum(sizes))
 
 
 def non_dense_adequate(n: int) -> list[Collection]:

@@ -115,12 +115,19 @@ def _emit(body: str, out: str | None, inputs: tuple[Path, ...] = ()) -> None:
     manifest.write_text(_json_text(_manifest(inputs, path)) + "\n")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from None
+
+
 def _load_matrix(path: str):
-    return qmatrix_from_json(Path(path).read_text())
+    return qmatrix_from_json(_read_text(path))
 
 
 def _load_collection(path: str) -> TripleSet:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(_read_text(path))
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
         raise MatrixFormatError("collection JSON must have keys n and triples")
     if not isinstance(data["triples"], list):

@@ -6,14 +6,10 @@ closure.  Nodes of the degeneration graph are the closed triple sets up to
 coordinate symmetry, each carrying the dimension label of its sub-torus and
 the type vector of the point variety it produces; arrows record strict
 inclusion of closed sets (larger closed set = smaller torus = bigger point
-variety), transitively reduced.  One traversal of the closure lattice builds
-both: adjoining one triple to a class representative and closing gives the
-next classes, and the transitive reduction of these one-step inclusions is
-the arrow set.  The four-index rule (quartet_saturate) does most of each
-closing, one worklist step from the representative; the distinct results
-for one representative are canonicalized together in one batched gather,
-and the exact lattice closure, which also yields the node label, runs once
-per class of a result.
+variety), transitively reduced.  One traversal builds both: lattice.traverse
+with the exact lattice closure, which also yields the node label, lists the
+classes, and the transitive reduction of its one-step inclusions is the
+arrow set.
 This module builds only the graph; the character equations
 b_t = 1 of a node are solved in realize (SolutionFamily).
 """
@@ -24,10 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .lattice import _closure_label, _quartet_add, node_label
-from .triples import TripleSet, canonical_mask_orbit, mask_images, num_triples
+from .lattice import _closure_label, traverse
+from .triples import TripleSet, canonical_mask_orbit
 from .variety import components
 
 
@@ -87,46 +81,17 @@ def node_ids(nodes: Sequence[DegNode]) -> tuple[str, ...]:
 
 
 def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
-    """Closed-set classes and one-step inclusions by closure-lattice
-    traversal with symmetry pruning.
+    """Closed-set classes and one-step inclusions: lattice.traverse with
+    the exact lattice closure, whose span also gives the node label."""
 
-    Starting from the empty (closed) set, adjoin one triple t to a canonical
-    class representative K and close.  Every closed class is reached this
-    way because dropping one element of a minimal generating set yields a
-    smaller closed set.  The closing takes two steps.  First the four-index
-    rule: L = quartet_saturate(K + t) lies between K + t and closure(K + t),
-    so closure(L) = closure(K + t).  K is closed, so L is one worklist step
-    from K, and the distinct L of all extensions of K are canonicalized by
-    one batched gather.  Then the exact lattice closure, once per canonical
-    class of L: closure commutes with the coordinate permutations, so the
-    class of L fixes the class of its closure.  The same span gives the
-    node label, and a new class is canonicalized once, with its orbit size.
-    Each step records the canonical masks (K, closure(K + t)).  These pairs
-    hold every cover: if M covers K, then M = closure(K + t) for any t in M
-    but not in K.  They may hold non-covers too.
-    """
-    empty = TripleSet.empty(n)
-    # canonical closed mask -> (a closed set of the class, its label, orbit size)
-    classes = {0: (empty, node_label(empty), 1)}
-    closed_class: dict[int, int] = {}  # canonical L -> canonical closure(L)
-    steps: set[tuple[int, int]] = set()
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for k in frontier:
-            ls = {_quartet_add(n, k, b) for b in range(num_triples(n)) if not k >> b & 1}
-            images = mask_images(n, np.fromiter(ls, dtype=np.int64, count=len(ls)))
-            for lm in set(images.min(axis=1).tolist()):
-                cm = closed_class.get(lm)
-                if cm is None:
-                    closed, label = _closure_label(TripleSet(n, lm))
-                    cm, orbit = canonical_mask_orbit(n, closed.mask)
-                    closed_class[lm] = cm
-                    if cm not in classes:
-                        classes[cm] = (closed, label, orbit)
-                        next_frontier.append(cm)
-                steps.add((k, cm))
-        frontier = next_frontier
+    def close(lm: int) -> tuple[int, tuple[TripleSet, int, int]]:
+        closed, label = _closure_label(TripleSet(n, lm))
+        cm, orbit = canonical_mask_orbit(n, closed.mask)
+        return cm, (closed, label, orbit)
+
+    classes, steps = traverse(n, close)
+    # type vectors once the traversal is done: computed inside close, the
+    # graph workload measured about 7% slower (same calls, interleaved)
     nodes = [
         DegNode(TripleSet(n, cm), label, components(closed).type_vector, orbit)
         for cm, (closed, label, orbit) in classes.items()

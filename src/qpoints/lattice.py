@@ -14,6 +14,10 @@ simplicial boundary e_ij + e_jk - e_ik, so its image is V[ij] + V[jk] -
 V[ik].  Realization, its obstructions and forced solutions read that
 quotient; closure and node labels read L.
 
+One traversal, traverse, lists the classes of two closure systems up to
+symmetry: the quartet-closed sets (quartet_saturate), complements of the
+adequate collections, and the closed sets, the degeneration graph's nodes.
+
 Characters are sparse, and so are their echelon rows, so the kernel walks
 row supports: SubLattice.add and contains do arithmetic only on the
 nonzero columns of each row, and smith_normal_form clears a unit pivot's
@@ -27,8 +31,11 @@ from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
-from .triples import Triple, TripleSet, all_triples, check_triple, num_triples, quartet_masks
+import numpy as np
+
+from .triples import Triple, TripleSet, all_triples, check_triple, mask_images, num_triples, quartet_masks
 
 
 #: Largest finite component group, as a product of torsion orders, that is
@@ -294,6 +301,46 @@ def _quartet_add(n: int, mask: int, b: int) -> int:
     return mask
 
 
+def traverse(n: int, close: Callable[[int], tuple[int, object]]) -> tuple[dict[int, object], set[tuple[int, int]]]:
+    """Classes of a closure system on triple masks up to coordinate
+    symmetry, and canonical one-step inclusions between them.
+
+    close(m) maps a canonical quartet-closed mask m to the canonical mask
+    of its class's closed set, itself quartet-closed, and a payload; it
+    runs once per canonical quartet-closed mask reached, 0 first.  From
+    each class representative K, every extension K + t is saturated by
+    one _quartet_add step, which keeps the closure of K + t; the results
+    for K are canonicalized in one batched gather, and close runs on the
+    new ones.  The closure commutes with the coordinate permutations, so
+    the class of a saturated set fixes the class of its closure.  Every
+    class is reached, since dropping one element of a minimal generating
+    set leaves a smaller closed set.  Returns {canonical closed mask: the
+    payload of its first close} and the pairs (K, closure(K + t)): every
+    cover is among them, and some non-covers may be.
+    """
+    cm, payload = close(0)
+    classes = {cm: payload}
+    closed_class: dict[int, int] = {}  # canonical saturated mask -> canonical closed mask
+    steps: set[tuple[int, int]] = set()
+    frontier = [cm]
+    while frontier:
+        next_frontier = []
+        for k in frontier:
+            ls = {_quartet_add(n, k, b) for b in range(num_triples(n)) if not k >> b & 1}
+            images = mask_images(n, np.fromiter(ls, dtype=np.int64, count=len(ls)))
+            for lm in set(images.min(axis=1).tolist()):
+                cm = closed_class.get(lm)
+                if cm is None:
+                    cm, payload = close(lm)
+                    closed_class[lm] = cm
+                    if cm not in classes:
+                        classes[cm] = payload
+                        next_frontier.append(cm)
+                steps.add((k, cm))
+        frontier = next_frontier
+    return classes, steps
+
+
 def quartet_saturate(J: TripleSet) -> TripleSet:
     """Least fixed point of the four-index (tetrahedron) rule.
 
@@ -301,8 +348,8 @@ def quartet_saturate(J: TripleSet) -> TripleSet:
     alternating sum is zero (the boundary of a boundary), so whenever three
     faces are present the fourth is forced.  The result lies between J and
     closure(J) and has the same closure, which makes this the cheap first
-    closure of the degeneration traversal; its fixed points are exactly
-    the complements of the adequate collections.
+    closure of traverse; its fixed points are exactly the complements of
+    the adequate collections.
 
     The empty set is closed, so adding the bits of J one at a time with
     _quartet_add, which keeps the running mask closed, reaches the fixed

@@ -446,7 +446,8 @@ def _json_int(value, what: str) -> int:
 def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
     """The matrix of a parsed matrix file, read straight into its exponent
     rows.  n, torsion_modulus, torsion phases and object-form exponents
-    must be JSON integers and generators a list of names, else
+    must be JSON integers, generators a list of names, and no two pair
+    keys may name one pair (as "0,1" and " 0, 1" do), else
     MatrixFormatError; a value the parameter group cannot hold raises
     ScalarError.  Without a generators list, the table is the sorted names
     of the nonzero exponents."""
@@ -463,13 +464,16 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
         raise ScalarError("torsion modulus must be >= 1")
     if not isinstance(raw_upper, Mapping):
         raise MatrixFormatError("upper must be an object of pair keys")
-    entries = {}
+    entries, keys = {}, {}
     for key, value in raw_upper.items():
         try:
             i_str, j_str = str(key).split(",")
             pair = (int(i_str), int(j_str))
         except ValueError as exc:
             raise MatrixFormatError(f"bad pair key {key!r}") from exc
+        if pair in keys:
+            raise MatrixFormatError(f"pair keys {keys[pair]!r} and {key!r} both name the pair {pair[0]},{pair[1]}")
+        keys[pair] = key
         if type(value) is str:
             exps, phase = _parse_terms(value)
         elif isinstance(value, dict):

@@ -114,6 +114,14 @@ class TestPts:
         assert main(["pts", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_keys_naming_one_pair_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"n": 1, "upper": {"0,1": "a", " 0, 1": "b"}}))
+        assert main(["pts", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: pair keys '0,1' and ' 0, 1' both name the pair 0,1\n"
+
     def test_rank_one_25_variables_is_one_component(self, tmp_path, capsys):
         # q_ij = a_i^-1 * a_j makes every triple good, so the point variety
         # is all of P^24: far too many subsets (2^25) to visit one by one.
@@ -275,6 +283,15 @@ class TestFileErrors:
         assert captured.out == ""
         reason = "No such file or directory" if "missing" in target else "Is a directory"
         assert captured.err == f"error: {target.replace('DIR', str(tmp_path))}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
+    def test_undecodable_input_exits_2_naming_path(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "upper": {"0,1": "\xff"}}')
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 _PAIR_KEYS = st.one_of(

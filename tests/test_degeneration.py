@@ -8,6 +8,7 @@ import pytest
 import random
 
 from conftest import per_extension_closed_reps_bfs, snf_diagonal
+from qpoints.adequacy import enumerate_adequate
 from qpoints.cli import main
 from qpoints.degeneration import (
     BudgetError,
@@ -31,7 +32,7 @@ from qpoints.lattice import (
     smith_normal_form,
     triple_char,
 )
-from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node
+from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node, realize_all
 from qpoints.scalars import NameSupply
 from qpoints.triples import (
     TripleSet,
@@ -227,6 +228,24 @@ class TestNodes:
             assert sorted(map(key, nodes)) == sorted(map(key, ref_nodes))
             assert len(nodes) == len(ref_nodes)
             assert steps == ref_steps
+
+    def test_nodes_are_the_realizable_catalog_classes(self):
+        # the two consumers of lattice.traverse agree: a collection is
+        # realizable iff its complement is closed, so the complements of
+        # the nodes are the catalog classes that realize, orbit for orbit
+        for n in range(6):
+            nodes = enumerate_nodes(n, long=True)
+            complements = {(node.closed_set.complement().canonical().mask, node.orbit_size) for node in nodes}
+            catalog, summary = enumerate_adequate(n), realize_all(n)
+            realizable = {
+                (rep.mask, size)
+                for rep, size, result in zip(catalog.representatives, catalog.orbit_sizes, summary.results)
+                if result.success
+            }
+            assert complements == realizable
+            assert len(complements) == len(nodes)
+        assert (len(nodes), len(catalog)) == (174, 175)
+        assert [i for i, result in enumerate(summary.results) if not result.success] == [106]
 
     def test_ids_disambiguate(self):
         nodes = enumerate_nodes(4)

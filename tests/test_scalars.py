@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from qpoints.gallery import all_ones_matrix, p3_two_planes_matrix, sign_matrix
 from qpoints.scalars import (
     GeneratorTable,
     GroupScalar,
+    MatrixFormatError,
     QMatrix,
     ScalarError,
     TableMismatchError,
@@ -257,3 +259,12 @@ class TestJson:
         assert qmatrix_from_json(from_strings.to_json()) == from_strings
         oracle = TripleSet.of(2, [t for t in all_triples(2) if from_strings.b(t).is_one])
         assert good_triples(from_strings) == good_triples(from_objects) == oracle
+
+    @pytest.mark.parametrize("other", [" 0, 1", "0,+1", "00,1"])
+    def test_keys_naming_one_pair_rejected(self, other):
+        # the reader would otherwise keep whichever key came last
+        for upper in ({"0,1": "a", other: "b"}, {other: "b", "0,1": "a"}):
+            first, second = (repr(k) for k in upper)
+            message = f"pair keys {first} and {second} both name the pair 0,1"
+            with pytest.raises(MatrixFormatError, match=re.escape(message)):
+                qmatrix_from_json(json.dumps({"n": 1, "upper": upper}))

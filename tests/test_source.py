@@ -113,6 +113,40 @@ def test_torsion_limit_read_only_by_solution_family():
     assert readers == {"realize.SolutionFamily.characters"}, readers
 
 
+def calling_scopes(name: str) -> set[str]:
+    """module.function (or module.Class.method) of every call to name in
+    the package; a call at module level is named by the module alone."""
+    package = Path(qpoints.__file__).parent
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.add(".".join((path.stem,) + scope))
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_sweep_is_only_a_reference():
+    # the catalog comes from lattice.traverse; the half-mask sweep is kept
+    # only as the test oracle for n <= 5, so nothing in the package runs it
+    assert calling_scopes("adequate_masks") == set()
+    assert calling_scopes("_witness_masks") == {"adequacy.adequate_masks"}
+
+
+def test_quartet_step_taken_only_by_traversal_and_saturation():
+    # one closure-system traversal builds both the catalog and the graph
+    assert calling_scopes("_quartet_add") == {"lattice.traverse", "lattice.quartet_saturate"}
+    assert calling_scopes("traverse") == {"adequacy.enumerate_adequate", "degeneration._closed_reps_bfs"}
+
 def test_traced_names_exist():
     # the benchmark tracer wraps these names by module attribute or class
     # __dict__ entry, so deleting one breaks the benchmark before its refresh
