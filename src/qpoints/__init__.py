@@ -17,7 +17,6 @@ from .adequacy import (
     enumerate_adequate,
     is_adequate,
     is_dense,
-    non_dense_adequate,
 )
 from .degeneration import (
     DegGraph,
@@ -38,7 +37,6 @@ from .lattice import (
 from .realize import (
     NotAdequateError,
     RealizationResult,
-    RealizeAllSummary,
     SolutionFamily,
     forced_solutions,
     generic_point_of_node,
@@ -48,7 +46,6 @@ from .realize import (
 from .scalars import (
     GeneratorTable,
     GroupScalar,
-    NameSupply,
     QMatrix,
     parse_scalar,
     qmatrix_from_json,
@@ -59,8 +56,6 @@ from .variety import (
     components,
     good_triples,
     ideal_generators,
-    is_rank_one,
-    monomial_variety_check,
 )
 
 __all__ = [
@@ -70,12 +65,10 @@ __all__ = [
     "DegNode",
     "GeneratorTable",
     "GroupScalar",
-    "NameSupply",
     "NotAdequateError",
     "OrbitCatalog",
     "QMatrix",
     "RealizationResult",
-    "RealizeAllSummary",
     "SolutionFamily",
     "SubLattice",
     "Triple",
@@ -92,10 +85,7 @@ __all__ = [
     "ideal_generators",
     "is_adequate",
     "is_dense",
-    "is_rank_one",
-    "monomial_variety_check",
     "node_label",
-    "non_dense_adequate",
     "parse_scalar",
     "qmatrix_from_json",
     "quartet_saturate",

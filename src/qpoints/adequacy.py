@@ -133,14 +133,3 @@ def enumerate_adequate(n: int) -> OrbitCatalog:
     classes = sorted(traverse(n, lambda m: (m, canonical_mask_orbit(n, full ^ m)))[0].values())
     sizes = tuple(size for _, size in classes)
     return OrbitCatalog(n, tuple(TripleSet(n, c) for c, _ in classes), sizes, sum(sizes))
-
-
-def non_dense_adequate(n: int) -> list[Collection]:
-    """Canonical representatives of nonempty adequate classes that are not
-    dense.  Empty for n <= 4; exactly two classes for n = 5."""
-    catalog = enumerate_adequate(n)
-    return [
-        rep
-        for rep in catalog.representatives
-        if len(rep) > 0 and not is_dense(rep)
-    ]

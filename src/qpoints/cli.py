@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -58,9 +59,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _manifest(inputs: tuple[Path, ...], output: Path) -> dict:
+def _manifest(argv: list[str], inputs: tuple[Path, ...], output: Path) -> dict:
     return {
-        "command": " ".join(sys.argv) if sys.argv else "qpoints",
+        "command": "qpoints " + shlex.join(argv),
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
         "outputs": [str(output)],
         "determinism": "seed-free; rerunning this command reproduces the outputs byte for byte",
@@ -103,16 +104,16 @@ def _json_text(value, prefix: str = "") -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + prefix)
 
 
-def _emit(body: str, out: str | None, inputs: tuple[Path, ...] = ()) -> None:
-    """Write a command's body to stdout, or to the file out together with
-    its manifest, out + ".manifest.json"."""
-    if not out:
+def _emit(body: str, args, inputs: tuple[Path, ...] = ()) -> None:
+    """Write a command's body to stdout, or to the file args.out together
+    with its manifest, args.out + ".manifest.json"."""
+    if not args.out:
         sys.stdout.write(body)
         return
-    path = Path(out)
+    path = Path(args.out)
     path.write_text(body)
     manifest = path.with_suffix(path.suffix + ".manifest.json")
-    manifest.write_text(_json_text(_manifest(inputs, path)) + "\n")
+    manifest.write_text(_json_text(_manifest(args.argv, inputs, path)) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -180,7 +181,7 @@ def cmd_enumerate(args) -> int:
         catalog = enumerate_adequate(args.n)
         lines = [json.dumps(rec, sort_keys=True) for rec in catalog.records()]
         summary = f"total={catalog.total} orbits={len(catalog)}"
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args)
     print(summary)
     return EXIT_OK
 
@@ -188,7 +189,7 @@ def cmd_enumerate(args) -> int:
 def cmd_graph(args) -> int:
     graph = build_graph(args.n, long=args.long)
     body = _json_text(graph_json_dict(graph)) + "\n" if args.json else to_dot(graph)
-    _emit(body, args.out)
+    _emit(body, args)
     print(f"nodes={len(graph.nodes)} arrows={len(graph.arrows)}")
     return EXIT_OK
 
@@ -201,16 +202,17 @@ def cmd_realize(args) -> int:
             return EXIT_PARSE
         catalog = enumerate_adequate(int(n))
         if str(index) == "all":
-            summary = realize_all(int(n))
+            results = realize_all(int(n))
             _emit(
                 "".join(
                     f"class {i}: {'ok' if r.success else 'FAILED'} ({r.method})\n"
-                    for i, r in enumerate(summary.results)
+                    for i, r in enumerate(results)
                 ),
-                args.out,
+                args,
             )
-            print(f"realized {summary.n_success}/{summary.n_classes}")
-            return EXIT_OK if summary.n_success == summary.n_classes else EXIT_REALIZE_FAILED
+            realized = sum(r.success for r in results)
+            print(f"realized {realized}/{len(results)}")
+            return EXIT_OK if realized == len(results) else EXIT_REALIZE_FAILED
         reps = catalog.representatives
         if not (index.isdecimal() and int(index) < len(reps)):
             print(
@@ -230,7 +232,7 @@ def cmd_realize(args) -> int:
         print(f"realization failed: {result.detail}", file=sys.stderr)
         return EXIT_REALIZE_FAILED
     inputs = (Path(args.collection),) if args.collection else ()
-    _emit(result.matrix.to_json() + "\n", args.out, inputs)
+    _emit(result.matrix.to_json() + "\n", args, inputs)
     print(
         "verified: achieved collection matches target"
         f" ({len(result.target)} excluded planes)"
@@ -331,7 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # the command line that --out manifests record
     if args.command == "realize" and (args.cls is None) == (not args.collection):
         parser.error("realize needs a collection file or --class N INDEX, not both")
     try:

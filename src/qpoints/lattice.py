@@ -7,6 +7,16 @@ compared through the integer span of their characters; membership is exact
 integer membership (no saturation), which is what keeps torsion solutions
 such as sign matrices distinguishable from the identity component.
 
+The lattice is read as homology.  For a triple set K, let X_K be the
+2-complex on the n + 1 coordinates with every edge and the triangles of
+K.  The character of (i, j, k) is the simplicial boundary d[i,j,k] =
+e_jk - e_ik + e_ij, so span(K) is the group of boundaries of X_K and
+Z^P / span(K) is Z^n x H_1(X_K).  node_label is the rank of H_1(X_K), and
+the torsion of the quotient is the torsion of H_1(X_K).  closure(K) adds
+every triangle whose boundary is already a boundary in X_K; the four-index
+rule of quartet_saturate is the case where the 2-cycle is the boundary of
+a tetrahedron.
+
 One kernel, SubLattice.quotient, computes Z^P / L for a span L from the
 Smith normal form of L's echelon rows: free columns, torsion columns with
 their orders, and the quotient map V.  A triple's character is the
@@ -180,28 +190,6 @@ class SubLattice:
     def quotient(self) -> "Quotient":
         """The quotient of Z^dim by this lattice."""
         return Quotient(self)
-
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical Hermite-form basis: positive pivots, entries above each
-        pivot reduced into [0, pivot)."""
-        rows = [
-            [-v for v in row] if row[p] < 0 else row.copy()
-            for row, p in zip(self.rows, self.pivots)
-        ]
-        # reduce left-to-right so later reductions never touch earlier pivots
-        for r in range(len(rows)):
-            p = self.pivots[r]
-            for above in range(r):
-                q = rows[above][p] // rows[r][p]
-                if q:
-                    for c in range(p, self.dim):
-                        rows[above][c] -= q * rows[r][c]
-        return tuple(tuple(row) for row in rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubLattice):
-            return NotImplemented
-        return self.dim == other.dim and self.basis() == other.basis()
 
     def __repr__(self) -> str:
         return f"SubLattice(dim={self.dim}, rank={self.rank})"

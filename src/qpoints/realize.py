@@ -34,7 +34,7 @@ from .lattice import (
     pair_list,
     triple_chars,
 )
-from .scalars import GeneratorTable, GroupScalar, NameSupply, QMatrix
+from .scalars import GeneratorTable, GroupScalar, QMatrix
 from .triples import TripleSet, all_triples
 from .variety import good_triples
 
@@ -78,7 +78,7 @@ class RealizationResult:
     detail: str = ""
 
 
-def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResult:
+def realize(C: Collection) -> RealizationResult:
     """Build a matrix whose excluded planes are exactly C, and verify it.
 
     The matrix is the generic point of the complement
@@ -93,7 +93,7 @@ def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResul
     if not is_adequate(C):
         raise NotAdequateError(f"collection is not adequate: {C}")
     try:
-        matrix = generic_point_of_node(C.complement(), supply)
+        matrix = generic_point_of_node(C.complement())
     except NotClosedError as exc:
         return RealizationResult(
             None,
@@ -108,26 +108,10 @@ def realize(C: Collection, supply: NameSupply | None = None) -> RealizationResul
     return RealizationResult(matrix, C, True, "generic-point")
 
 
-@dataclass(frozen=True)
-class RealizeAllSummary:
-    n: int
-    results: tuple[RealizationResult, ...]
-    orbit_sizes: tuple[int, ...]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.results)
-
-    @property
-    def n_success(self) -> int:
-        return sum(1 for r in self.results if r.success)
-
-
-def realize_all(n: int) -> RealizeAllSummary:
-    """Run the realization on every adequate orbit class of dimension n."""
-    catalog = enumerate_adequate(n)
-    results = tuple(realize(rep) for rep in catalog.representatives)
-    return RealizeAllSummary(n, results, catalog.orbit_sizes)
+def realize_all(n: int) -> tuple[RealizationResult, ...]:
+    """The realization of every adequate orbit class of dimension n, in
+    catalog order."""
+    return tuple(realize(rep) for rep in enumerate_adequate(n).representatives)
 
 
 @dataclass(frozen=True)
@@ -245,19 +229,18 @@ def forced_solutions(
     return SolutionFamily(n, SubLattice.span(rows, P).quotient())
 
 
-def generic_point_of_node(closed: TripleSet, supply: NameSupply | None = None) -> QMatrix:
+def generic_point_of_node(closed: TripleSet) -> QMatrix:
     """A matrix whose good-triple set is exactly the given closed set.
 
     Solves the character equations over the quotient of the exponent
     lattice by the closed set's span: free degrees of freedom become fresh
-    generators, and the finite component group is searched for a character
-    that keeps every triple outside the closed set obstructed.  The result
-    is verified exactly.  A set that is not closed raises NotClosedError,
-    naming the triples outside it that its character span forces in.  The
-    family comes from forced_solutions with no pins, so n is bounded by
-    SOLVER_MAX_N.
+    generators g1, g2, ... in ascending column order, and the finite
+    component group is searched for a character that keeps every triple
+    outside the closed set obstructed.  The result is verified exactly.  A
+    set that is not closed raises NotClosedError, naming the triples
+    outside it that its character span forces in.  The family comes from
+    forced_solutions with no pins, so n is bounded by SOLVER_MAX_N.
     """
-    supply = supply if supply is not None else NameSupply()
     n = closed.n
     family = forced_solutions(closed)
     quotient = family.quotient
@@ -292,7 +275,7 @@ def generic_point_of_node(closed: TripleSet, supply: NameSupply | None = None) -
             "no torsion character separates the closed set; "
             f"{len(free_zero_outside)} torsion-coset triples obstruct"
         )
-    Q = family.point(choice, {i: supply.fresh() for i in quotient.free})
+    Q = family.point(choice, {i: f"g{k}" for k, i in enumerate(quotient.free, 1)})
     achieved = good_triples(Q)
     if achieved != closed:
         raise GenericPointError(

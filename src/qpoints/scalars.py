@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping
 
@@ -133,21 +132,6 @@ class GroupScalar:
             out = out * (img ** e if img is not None else GroupScalar(((g, e),), 0, self.modulus))
         return out
 
-    def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact rational value under a full assignment; needs modulus <= 2
-        (the root of unity maps to -1)."""
-        if self.modulus > 2:
-            raise ScalarError("torsion of order > 2 has no rational value")
-        value = Fraction(-1) ** self.torsion
-        for g, e in self.exponents:
-            if g not in assignment:
-                raise ScalarError(f"no value assigned to generator {g!r}")
-            base = Fraction(assignment[g])
-            if base == 0:
-                raise ScalarError("generators must map to nonzero rationals")
-            value *= base ** e
-        return value
-
     def __str__(self) -> str:
         if self.is_one:
             return "1"
@@ -220,18 +204,6 @@ class GeneratorTable:
         if name not in self._columns:
             raise ScalarError(f"unknown generator {name!r}")
         return GroupScalar.generator(name, self.torsion_modulus, power)
-
-
-class NameSupply:
-    """Deterministic source of fresh generator names (g1, g2, ...)."""
-
-    def __init__(self, prefix: str = "g") -> None:
-        self.prefix = prefix
-        self._count = 0
-
-    def fresh(self) -> str:
-        self._count += 1
-        return f"{self.prefix}{self._count}"
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -387,26 +359,6 @@ class QMatrix:
             for j in range(i + 1, self.n + 1)
         }
         return QMatrix(self.n, upper, self.table)
-
-    def instantiate(
-        self, assignment: Mapping[str, Fraction | int]
-    ) -> list[list[Fraction]]:
-        """Exact rational matrix under a full generator assignment.
-
-        Requires torsion modulus <= 2; the root of unity becomes -1.  The
-        result retains multiplicative antisymmetry and is the numeric oracle
-        for every symbolic computation in this package.
-        """
-        if self.table.torsion_modulus > 2:
-            raise ScalarError("cannot instantiate: torsion modulus exceeds 2")
-        missing = [g for g in self.table.names if g not in assignment]
-        if missing:
-            raise ScalarError(f"missing assignment for generators {missing}")
-        size = self.n + 1
-        return [
-            [self.entry(i, j).evaluate(assignment) for j in range(size)]
-            for i in range(size)
-        ]
 
     def to_json_dict(self) -> dict:
         return {

@@ -59,11 +59,6 @@ def all_triples(n: int) -> tuple[Triple, ...]:
     return tuple(itertools.combinations(range(n + 1), 3))
 
 
-@lru_cache(maxsize=None)
-def triple_index(n: int) -> dict[Triple, int]:
-    return {t: i for i, t in enumerate(all_triples(n))}
-
-
 def num_triples(n: int) -> int:
     return comb(n + 1, 3)
 
@@ -72,9 +67,8 @@ def num_triples(n: int) -> int:
 def quartet_masks(n: int) -> tuple[int, ...]:
     """The tetrahedron table: one mask per 4-subset of {0..n}, in
     lexicographic order, holding the bits of its four faces."""
-    idx = triple_index(n)
     return tuple(
-        sum(1 << idx[t] for t in itertools.combinations(quad, 3))
+        sum(1 << triple_rank(t, n) for t in itertools.combinations(quad, 3))
         for quad in itertools.combinations(range(n + 1), 4)
     )
 
@@ -83,17 +77,6 @@ def quartet_masks(n: int) -> tuple[int, ...]:
 def permutations(n: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of {0..n}, as image tuples."""
     return tuple(itertools.permutations(range(n + 1)))
-
-
-def permute_triple(perm: tuple[int, ...], t: Triple) -> Triple:
-    a, b, c = perm[t[0]], perm[t[1]], perm[t[2]]
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    return (a, b, c)
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +178,15 @@ class TripleSet:
         return self.mask.bit_count()
 
     def __contains__(self, t: object) -> bool:
-        i = triple_index(self.n).get(t)
-        return i is not None and self.mask >> i & 1 == 1
+        """Membership of a tuple (i, j, k); anything that is not a valid
+        triple of integers for dimension n is not a member."""
+        if not isinstance(t, tuple):
+            return False
+        try:
+            triple = check_triple(t, self.n)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return triple == t and self.mask >> triple_rank(triple, self.n) & 1 == 1
 
     def _other_mask(self, other: "TripleSet | Iterable[Triple]") -> int:
         if not isinstance(other, TripleSet):
@@ -226,10 +216,6 @@ class TripleSet:
     def complement(self) -> "TripleSet":
         return TripleSet(self.n, self.mask ^ ((1 << num_triples(self.n)) - 1))
 
-    def apply(self, perm: tuple[int, ...]) -> "TripleSet":
-        """Image under a permutation of the coordinates {0..n}."""
-        return TripleSet.of(self.n, (permute_triple(perm, t) for t in self))
-
     def canonical(self) -> "TripleSet":
         """Least set in the orbit under all coordinate permutations.
 
@@ -238,13 +224,6 @@ class TripleSet:
         on orbits).
         """
         return TripleSet(self.n, canonical_mask(self.n, self.mask))
-
-    def find_permutation_to(self, target: "TripleSet") -> tuple[int, ...] | None:
-        """A permutation sending this set onto target, if one exists."""
-        if target.n != self.n or len(target) != len(self):
-            return None
-        hits = np.flatnonzero(mask_images(self.n, self.mask) == target.mask)
-        return permutations(self.n)[int(hits[0])] if len(hits) else None
 
     def __repr__(self) -> str:
         body = ", ".join(str(t) for t in self)

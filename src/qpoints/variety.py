@@ -6,16 +6,13 @@ subspaces of projective n-space, fully determined by which coordinate planes
 defining matrix in one exact integer pass over an exponent array (the
 obstruction scalar of a triple is a signed sum of three pair rows),
 enumerates the irreducible components (maximal flats) and type vector,
-extracts the cubic monomial generators of the defining ideal, and
-cross-checks the two descriptions against each other.
+and extracts the cubic monomial generators of the defining ideal.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -103,31 +100,6 @@ def good_triples(Q: QMatrix) -> TripleSet:
     return TripleSet(n, int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little"))
 
 
-def is_rank_one(Q: QMatrix, S: Flat) -> bool:
-    """Whether the principal block of Q on the index set S has rank one.
-
-    Checked directly on 2x2 minors: q_ju * q_lv == q_jv * q_lu for all row
-    pairs (j, l) and column pairs (u, v) inside S.  Agrees with "every
-    triple inside S is good"; the test suite exercises that equivalence.
-    """
-    idx = sorted(set(S))
-    if not idx:
-        raise ValueError("index set must be nonempty")
-    if idx[0] < 0 or idx[-1] > Q.n:
-        raise ValueError(f"index set {S!r} out of range for dimension {Q.n}")
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            j, l = idx[a], idx[b]
-            for c in range(len(idx)):
-                for d in range(c + 1, len(idx)):
-                    u, v = idx[c], idx[d]
-                    lhs = Q.entry(j, u) * Q.entry(l, v)
-                    rhs = Q.entry(j, v) * Q.entry(l, u)
-                    if lhs != rhs:
-                        return False
-    return True
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -188,42 +160,3 @@ def ideal_generators(good: TripleSet) -> list[Triple]:
     """Triples indexing the cubic monomials u_i u_j u_k that cut out the
     point variety: the complement of the good set."""
     return list(good.complement())
-
-
-def monomial_variety_check(good: TripleSet, samples: int = 50, seed: int = 0) -> bool:
-    """Verify that the monomial ideal and the component union describe the
-    same set of points.
-
-    A point with coordinate support T satisfies all monomials u_i u_j u_k
-    (for excluded triples) exactly when no excluded triple fits inside T;
-    the component description instead asks T to fit inside a flat.  The
-    check enumerates all 2^(n+1) supports and then re-tests `samples`
-    random rational points exactly.
-    """
-    n = good.n
-    if n > 6:
-        raise ValueError("support enumeration is only intended for n <= 6")
-    size = n + 1
-    excluded = ideal_generators(good)
-    config = components(good)
-    comp_masks = [sum(1 << i for i in c) for c in config.components]
-    excl_masks = [sum(1 << i for i in t) for t in excluded]
-    for support in range(1, 1 << size):
-        sat_monomials = all(support & em != em for em in excl_masks)
-        in_union = any(support & cm == support for cm in comp_masks)
-        if sat_monomials != in_union:
-            return False
-    rng = random.Random(seed)
-    for _ in range(samples):
-        support = rng.randrange(1, 1 << size)
-        point = [
-            Fraction(rng.randint(1, 99), rng.randint(1, 99)) if support >> i & 1 else Fraction(0)
-            for i in range(size)
-        ]
-        vanish = all(
-            point[i] * point[j] * point[k] == 0 for (i, j, k) in excluded
-        )
-        in_union = any(support & cm == support for cm in comp_masks)
-        if vanish != in_union:
-            return False
-    return True

@@ -1,15 +1,16 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 import pytest
 
-from qpoints.adequacy import _witness_masks
+from qpoints.adequacy import _witness_masks, enumerate_adequate, is_dense
 from qpoints.degeneration import DegNode
 from qpoints.realize import generic_point_of_node
-from qpoints.lattice import _xgcd, closure, node_label, span
-from qpoints.scalars import GroupScalar, NameSupply, QMatrix
+from qpoints.lattice import SubLattice, _xgcd, closure, node_label, span
+from qpoints.scalars import GroupScalar, QMatrix, ScalarError
 from qpoints.triples import (
     Triple,
     TripleSet,
@@ -19,9 +20,10 @@ from qpoints.triples import (
     canonical_mask_orbit,
     mask_images,
     num_triples,
+    permutations,
     quartet_masks,
 )
-from qpoints.variety import components
+from qpoints.variety import Flat, components, ideal_generators
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131]
@@ -50,7 +52,160 @@ def random_structured_qmatrix(rng: random.Random, n: int) -> QMatrix:
     trips = all_triples(n)
     k = rng.randint(0, min(4, len(trips)))
     J = TripleSet.of(n, rng.sample(trips, k))
-    return generic_point_of_node(closure(J), NameSupply("s"))
+    return generic_point_of_node(closure(J))
+
+
+def evaluate(s: GroupScalar, assignment: Mapping[str, Fraction | int]) -> Fraction:
+    """Exact rational value of a scalar under a full assignment; needs
+    modulus <= 2 (the root of unity maps to -1)."""
+    if s.modulus > 2:
+        raise ScalarError("torsion of order > 2 has no rational value")
+    value = Fraction(-1) ** s.torsion
+    for g, e in s.exponents:
+        if g not in assignment:
+            raise ScalarError(f"no value assigned to generator {g!r}")
+        base = Fraction(assignment[g])
+        if base == 0:
+            raise ScalarError("generators must map to nonzero rationals")
+        value *= base ** e
+    return value
+
+
+def instantiate(Q: QMatrix, assignment: Mapping[str, Fraction | int]) -> list[list[Fraction]]:
+    """Exact rational matrix under a full generator assignment.
+
+    Requires torsion modulus <= 2; the root of unity becomes -1.  The
+    result retains multiplicative antisymmetry and is the numeric oracle
+    for every symbolic computation in the package.
+    """
+    if Q.table.torsion_modulus > 2:
+        raise ScalarError("cannot instantiate: torsion modulus exceeds 2")
+    missing = [g for g in Q.table.names if g not in assignment]
+    if missing:
+        raise ScalarError(f"missing assignment for generators {missing}")
+    size = Q.n + 1
+    return [
+        [evaluate(Q.entry(i, j), assignment) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def is_rank_one(Q: QMatrix, S: Flat) -> bool:
+    """Whether the principal block of Q on the index set S has rank one.
+
+    Checked directly on 2x2 minors: q_ju * q_lv == q_jv * q_lu for all row
+    pairs (j, l) and column pairs (u, v) inside S.  Agrees with "every
+    triple inside S is good"; the test suite exercises that equivalence.
+    """
+    idx = sorted(set(S))
+    if not idx:
+        raise ValueError("index set must be nonempty")
+    if idx[0] < 0 or idx[-1] > Q.n:
+        raise ValueError(f"index set {S!r} out of range for dimension {Q.n}")
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            j, l = idx[a], idx[b]
+            for c in range(len(idx)):
+                for d in range(c + 1, len(idx)):
+                    u, v = idx[c], idx[d]
+                    lhs = Q.entry(j, u) * Q.entry(l, v)
+                    rhs = Q.entry(j, v) * Q.entry(l, u)
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def monomial_variety_check(good: TripleSet, samples: int = 50, seed: int = 0) -> bool:
+    """Verify that the monomial ideal and the component union describe the
+    same set of points.
+
+    A point with coordinate support T satisfies all monomials u_i u_j u_k
+    (for excluded triples) exactly when no excluded triple fits inside T;
+    the component description instead asks T to fit inside a flat.  The
+    check enumerates all 2^(n+1) supports and then re-tests `samples`
+    random rational points exactly.
+    """
+    n = good.n
+    if n > 6:
+        raise ValueError("support enumeration is only intended for n <= 6")
+    size = n + 1
+    excluded = ideal_generators(good)
+    config = components(good)
+    comp_masks = [sum(1 << i for i in c) for c in config.components]
+    excl_masks = [sum(1 << i for i in t) for t in excluded]
+    for support in range(1, 1 << size):
+        sat_monomials = all(support & em != em for em in excl_masks)
+        in_union = any(support & cm == support for cm in comp_masks)
+        if sat_monomials != in_union:
+            return False
+    rng = random.Random(seed)
+    for _ in range(samples):
+        support = rng.randrange(1, 1 << size)
+        point = [
+            Fraction(rng.randint(1, 99), rng.randint(1, 99)) if support >> i & 1 else Fraction(0)
+            for i in range(size)
+        ]
+        vanish = all(
+            point[i] * point[j] * point[k] == 0 for (i, j, k) in excluded
+        )
+        in_union = any(support & cm == support for cm in comp_masks)
+        if vanish != in_union:
+            return False
+    return True
+
+
+def non_dense_adequate(n: int) -> list[TripleSet]:
+    """Canonical representatives of nonempty adequate classes that are not
+    dense.  Empty for n <= 4; exactly two classes for n = 5."""
+    catalog = enumerate_adequate(n)
+    return [
+        rep
+        for rep in catalog.representatives
+        if len(rep) > 0 and not is_dense(rep)
+    ]
+
+
+def permute_triple(perm: tuple[int, ...], t: Triple) -> Triple:
+    a, b, c = perm[t[0]], perm[t[1]], perm[t[2]]
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return (a, b, c)
+
+
+def apply_perm(J: TripleSet, perm: tuple[int, ...]) -> TripleSet:
+    """Image of a triple set under a permutation of the coordinates {0..n}."""
+    return TripleSet.of(J.n, (permute_triple(perm, t) for t in J))
+
+
+def find_permutation_to(J: TripleSet, target: TripleSet) -> tuple[int, ...] | None:
+    """A permutation sending J onto target, if one exists."""
+    if target.n != J.n or len(target) != len(J):
+        return None
+    hits = np.flatnonzero(mask_images(J.n, J.mask) == target.mask)
+    return permutations(J.n)[int(hits[0])] if len(hits) else None
+
+
+def hermite_basis(lat: SubLattice) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite-form basis of a lattice: positive pivots, entries
+    above each pivot reduced into [0, pivot).  Two lattices are equal iff
+    their bases are."""
+    rows = [
+        [-v for v in row] if row[p] < 0 else row.copy()
+        for row, p in zip(lat.rows, lat.pivots)
+    ]
+    # reduce left-to-right so later reductions never touch earlier pivots
+    for r in range(len(rows)):
+        p = lat.pivots[r]
+        for above in range(r):
+            q = rows[above][p] // rows[r][p]
+            if q:
+                for c in range(p, lat.dim):
+                    rows[above][c] -= q * rows[r][c]
+    return tuple(tuple(row) for row in rows)
 
 
 def kernel_rank(n: int) -> int:

@@ -19,7 +19,11 @@ from collections import Counter
 from fractions import Fraction
 
 from conftest import (
+    instantiate,
+    is_rank_one,
     kernel_rank,
+    monomial_variety_check,
+    non_dense_adequate,
     prime_assignment,
     random_qmatrix,
     random_structured_qmatrix,
@@ -28,7 +32,7 @@ from conftest import (
 from test_degeneration import P4_TYPES, check_graph_matches_reference, label_of
 from test_realize import OBSTRUCTED
 
-from qpoints.adequacy import enumerate_adequate, is_adequate, non_dense_adequate
+from qpoints.adequacy import enumerate_adequate, is_adequate
 from qpoints.cli import main
 from qpoints.degeneration import build_graph, enumerate_nodes, sinks
 from qpoints.gallery import (
@@ -42,11 +46,7 @@ from qpoints.gallery import (
 from qpoints.lattice import closure, num_pairs, quartet_saturate
 from qpoints.realize import forced_solutions
 from qpoints.triples import TripleSet, all_triples
-from qpoints.variety import (
-    good_triples,
-    is_rank_one,
-    monomial_variety_check,
-)
+from qpoints.variety import good_triples
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -178,9 +178,9 @@ def test_criterion_6_realization_round_trip():
     mismatched = []
     obstructed = []
     for n in (3, 4, 5):
-        summary = realize_all(n)
-        counts[n] = (summary.n_success, summary.n_classes)
-        for idx, r in enumerate(summary.results):
+        results = realize_all(n)
+        counts[n] = (sum(r.success for r in results), len(results))
+        for idx, r in enumerate(results):
             if not r.success:
                 failure = (n, idx, r.method, r.detail)
                 documented = (
@@ -197,7 +197,7 @@ def test_criterion_6_realization_round_trip():
     identity_violations = []
     for trial in range(20):
         Q = random_qmatrix(rng, 5)
-        M = Q.instantiate(prime_assignment(Q))
+        M = instantiate(Q, prime_assignment(Q))
         rhs = Fraction(1)
         for t, e in SEVEN_TERM_IDENTITY:
             rhs *= rational_b(M, t) ** e
@@ -234,7 +234,7 @@ def test_criterion_7a_oracle_equivalence():
             if rng.random() < 0.3
             else random_qmatrix(rng, n)
         )
-        M = Q.instantiate(prime_assignment(Q))
+        M = instantiate(Q, prime_assignment(Q))
         for t in all_triples(n):
             ok = ok and (Q.b(t).is_one == (rational_b(M, t) == 1))
         checked += 1

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import canonical_masks, random_qmatrix, random_structured_qmatrix, row_sweep_adequate_masks
+from conftest import (
+    apply_perm,
+    canonical_masks,
+    non_dense_adequate,
+    random_qmatrix,
+    random_structured_qmatrix,
+    row_sweep_adequate_masks,
+)
 from qpoints.adequacy import (
     OrbitCatalog,
     _witness_masks,
@@ -15,7 +22,6 @@ from qpoints.adequacy import (
     enumerate_adequate,
     is_adequate,
     is_dense,
-    non_dense_adequate,
 )
 from qpoints.cli import main
 from qpoints.gallery import pentagonal_collection, transversal_collection
@@ -25,7 +31,7 @@ from qpoints.variety import good_triples
 
 def orbit_of(C):
     """Full orbit of a collection under coordinate permutations."""
-    return {C.apply(p) for p in permutations(C.n)}
+    return {apply_perm(C, p) for p in permutations(C.n)}
 
 
 def collections(n, max_size=6):
@@ -89,7 +95,7 @@ class TestSymmetryInvariance:
     @given(collections(4), st.integers(0, factorial(5) - 1))
     def test_predicates_invariant(self, C, pidx):
         perm = permutations(4)[pidx]
-        image = C.apply(perm)
+        image = apply_perm(C, perm)
         assert is_adequate(C) == is_adequate(image)
         assert is_dense(C) == is_dense(image)
 
@@ -109,7 +115,7 @@ class TestCanonicalForm:
         canon = C.canonical()
         assert canon.canonical() == canon
         perm = permutations(4)[17]
-        assert C.apply(perm).canonical() == canon
+        assert apply_perm(C, perm).canonical() == canon
 
 
 class TestEnumeration:

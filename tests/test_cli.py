@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -568,6 +569,13 @@ class TestOut:
         assert out.read_text() + kept == printed
         manifest = json.loads((tmp_path / "body.manifest.json").read_text())
         assert manifest["outputs"] == [str(out)]
+
+    def test_manifest_records_the_parsed_command(self, tmp_path, capsys):
+        # the argv main parsed, not the host process's sys.argv
+        out = str(tmp_path / "cat alog.jsonl")
+        assert main(["enumerate", "3", "--adequate", "--out", out]) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["command"] == "qpoints enumerate 3 --adequate --out " + shlex.quote(out)
 
     def test_realize_all_writes_one_line_per_class(self, tmp_path, capsys):
         out = tmp_path / "classes.txt"

@@ -33,7 +33,6 @@ from qpoints.lattice import (
     triple_char,
 )
 from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node, realize_all
-from qpoints.scalars import NameSupply
 from qpoints.triples import (
     TripleSet,
     all_triples,
@@ -236,16 +235,16 @@ class TestNodes:
         for n in range(6):
             nodes = enumerate_nodes(n, long=True)
             complements = {(node.closed_set.complement().canonical().mask, node.orbit_size) for node in nodes}
-            catalog, summary = enumerate_adequate(n), realize_all(n)
+            catalog, results = enumerate_adequate(n), realize_all(n)
             realizable = {
                 (rep.mask, size)
-                for rep, size, result in zip(catalog.representatives, catalog.orbit_sizes, summary.results)
+                for rep, size, result in zip(catalog.representatives, catalog.orbit_sizes, results)
                 if result.success
             }
             assert complements == realizable
             assert len(complements) == len(nodes)
         assert (len(nodes), len(catalog)) == (174, 175)
-        assert [i for i, result in enumerate(summary.results) if not result.success] == [106]
+        assert [i for i, result in enumerate(results) if not result.success] == [106]
 
     def test_ids_disambiguate(self):
         nodes = enumerate_nodes(4)
@@ -448,12 +447,12 @@ class TestSemanticRoundTrip:
         # every node's closed set is exactly the good set of its generic point
         for n in (2, 3, 4):
             for node in enumerate_nodes(n):
-                Q = generic_point_of_node(node.closed_set, NameSupply("r"))
+                Q = generic_point_of_node(node.closed_set)
                 assert good_triples(Q) == node.closed_set
 
     def test_pentagonal_node_generic_point(self):
         closed = pentagonal_good_set()
-        Q = generic_point_of_node(closed, NameSupply("r"))
+        Q = generic_point_of_node(closed)
         assert good_triples(Q) == closed
         # the free part is trivial here: the family is torsion on the nose
         assert any(s.torsion for s in Q.upper.values())

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import apply_perm
 from qpoints.adequacy import is_dense
 from qpoints.cli import main
 from qpoints.lattice import closure, quartet_saturate
@@ -22,7 +23,6 @@ from qpoints.realize import (
     realize,
     realize_all,
 )
-from qpoints.scalars import NameSupply
 from qpoints.triples import TripleSet, all_triples, permutations
 from qpoints.variety import good_triples
 
@@ -82,7 +82,7 @@ class TestRealize:
 
     def test_stored_collections_up_to_symmetry(self):
         perm = permutations(5)[123]
-        C = transversal_collection().apply(perm)
+        C = apply_perm(transversal_collection(), perm)
         result = realize(C)
         assert result.success and result.method == "generic-point"
         assert good_triples(result.matrix).complement() == C
@@ -112,7 +112,7 @@ class TestRealize:
         # the package re-exports realize(), which shadows the submodule name
         realize_module = importlib.import_module("qpoints.realize")
 
-        def no_point(closed, supply=None):
+        def no_point(closed):
             raise realize_module.GenericPointError("component group too large")
 
         monkeypatch.setattr(realize_module, "generic_point_of_node", no_point)
@@ -139,10 +139,10 @@ class TestRealize:
 class TestRealizeAll:
     def test_all_classes_below_five(self):
         for n, expected in ((2, 2), (3, 4), (4, 16)):
-            summary = realize_all(n)
-            assert summary.n_classes == expected
-            assert summary.n_success == expected
-            for result in summary.results:
+            results = realize_all(n)
+            assert len(results) == expected
+            assert sum(r.success for r in results) == expected
+            for result in results:
                 assert good_triples(result.matrix).complement() == result.target
 
     @pytest.mark.parametrize("n", [6, 7, 8])
@@ -160,10 +160,10 @@ class TestRealizeAll:
                 assert str(forced) in result.detail
 
     def test_five_variables_has_single_obstruction(self):
-        summary = realize_all(5)
-        assert summary.n_classes == 175
-        assert summary.n_success == 174
-        failures = [r for r in summary.results if not r.success]
+        results = realize_all(5)
+        assert len(results) == 175
+        assert sum(r.success for r in results) == 174
+        failures = [r for r in results if not r.success]
         assert len(failures) == 1
         assert failures[0].method == "obstructed"
         assert failures[0].target.canonical() == OBSTRUCTED.canonical()
@@ -172,11 +172,11 @@ class TestRealizeAll:
 
 class TestGenericPoint:
     def test_full_set_gives_rank_one_structure(self):
-        Q = generic_point_of_node(TripleSet.full(3), NameSupply("g"))
+        Q = generic_point_of_node(TripleSet.full(3))
         assert good_triples(Q) == TripleSet.full(3)
 
     def test_empty_set_fully_generic(self):
-        Q = generic_point_of_node(TripleSet.empty(3), NameSupply("g"))
+        Q = generic_point_of_node(TripleSet.empty(3))
         assert good_triples(Q) == TripleSet.empty(3)
         assert len(Q.table.names) == 6  # one free generator per parameter
 
@@ -195,8 +195,8 @@ class TestGenericPoint:
             generic_point_of_node(TripleSet.full(51))
 
     def test_deterministic(self):
-        a = generic_point_of_node(TripleSet.full(4), NameSupply("g"))
-        b = generic_point_of_node(TripleSet.full(4), NameSupply("g"))
+        a = generic_point_of_node(TripleSet.full(4))
+        b = generic_point_of_node(TripleSet.full(4))
         assert a == b
 
 

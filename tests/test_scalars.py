@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import prime_assignment, random_qmatrix, rational_b
+from conftest import instantiate, prime_assignment, random_qmatrix, rational_b
 from qpoints.gallery import all_ones_matrix, p3_two_planes_matrix, sign_matrix
 from qpoints.scalars import (
     GeneratorTable,
@@ -138,13 +138,13 @@ class TestQMatrix:
 class TestInstantiate:
     def test_direct_substitution(self):
         Q = p3_two_planes_matrix()
-        M = Q.instantiate({"a": 2, "b": 3, "c": 5, "x": 7})
+        M = instantiate(Q, {"a": 2, "b": 3, "c": 5, "x": 7})
         assert M[0][3] == 7
         assert M[3][0] == Fraction(1, 7)
         assert M[1][2] == Fraction(3, 2)
 
     def test_sign_matrix_instantiates_to_sign_grid(self):
-        M = sign_matrix().instantiate({})
+        M = instantiate(sign_matrix(), {})
         expected = [
             [1, -1, 1, 1, -1, 1],
             [-1, 1, -1, 1, 1, 1],
@@ -158,27 +158,27 @@ class TestInstantiate:
     def test_special_value_creates_rank_one(self):
         # at x = a*c the whole matrix collapses to rank one numerically
         Q = p3_two_planes_matrix()
-        M = Q.instantiate({"a": 2, "b": 3, "c": 5, "x": 10})
+        M = instantiate(Q, {"a": 2, "b": 3, "c": 5, "x": 10})
         assert rational_b(M, (0, 1, 3)) == 1
         assert not Q.b((0, 1, 3)).is_one  # still generic symbolically
 
     def test_missing_assignment(self):
         with pytest.raises(ScalarError):
-            p3_two_planes_matrix().instantiate({"a": 2})
+            instantiate(p3_two_planes_matrix(), {"a": 2})
 
     def test_large_torsion_rejected(self):
         table = GeneratorTable((), 3)
         upper = {(0, 1): GroupScalar.root_of_unity(3)}
         Q = QMatrix(1, upper, table)
         with pytest.raises(ScalarError):
-            Q.instantiate({})
+            instantiate(Q, {})
 
     def test_oracle_equivalence_sample(self, rng):
         # symbolic b == 1 iff rational b == 1 at distinct primes
         for _ in range(50):
             n = rng.randint(2, 5)
             Q = random_qmatrix(rng, n)
-            M = Q.instantiate(prime_assignment(Q))
+            M = instantiate(Q, prime_assignment(Q))
             for t in all_triples(n):
                 assert Q.b(t).is_one == (rational_b(M, t) == 1)
 

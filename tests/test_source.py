@@ -10,6 +10,27 @@ import qpoints
 from qpoints.cli import _build_parser
 
 
+PUBLIC_API = [
+    "Collection", "Configuration", "DegGraph", "DegNode", "GeneratorTable",
+    "GroupScalar", "NotAdequateError", "OrbitCatalog", "QMatrix",
+    "RealizationResult", "SolutionFamily", "SubLattice", "Triple", "TripleSet",
+    "all_triples", "build_graph", "closure", "components", "enumerate_adequate",
+    "enumerate_nodes", "forced_solutions", "generic_point_of_node",
+    "good_triples", "ideal_generators", "is_adequate", "is_dense", "node_label",
+    "parse_scalar", "qmatrix_from_json", "quartet_saturate", "realize",
+    "realize_all", "sinks", "span", "to_dot", "triple_char",
+]
+
+
+def test_public_api_is_pinned():
+    # a change to the public API is a deliberate edit of this list, and
+    # __init__.py imports exactly the names it exports
+    assert sorted(qpoints.__all__) == PUBLIC_API
+    init = ast.parse(Path(qpoints.__file__).read_text())
+    imported = [alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == PUBLIC_API
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so no guard may rely on one
     package = Path(qpoints.__file__).parent

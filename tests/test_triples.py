@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import canonical_masks
+from conftest import apply_perm, canonical_masks, find_permutation_to, permute_triple
 from qpoints.triples import (
     TripleSet,
     _perm_mask_tables,
@@ -14,7 +14,6 @@ from qpoints.triples import (
     mask_images,
     num_triples,
     permutations,
-    permute_triple,
     triple_rank,
 )
 
@@ -59,6 +58,29 @@ class TestMasks:
             assert all((t in J) == (t in sample) for t in trips)
             assert TripleSet(n, J.mask) == J
 
+    def test_membership_agrees_with_iteration(self, rng):
+        # membership reads the bit at triple_rank; only a tuple of three
+        # integers 0 <= i < j < k <= n can be a member
+        for n in range(9):
+            trips = all_triples(n)
+            for _ in range(5):
+                J = TripleSet(n, rng.getrandbits(len(trips)))
+                members = set(J)
+                assert [t in J for t in trips] == [t in members for t in trips]
+        full = TripleSet.full(4)
+        for t in [(0, 1), (0, 1, 2, 3), (1, 0, 2), (0, 0, 1), (-1, 0, 1), (2, 3, 5),
+                  (0, 1, 2.5), ("0", 1, 2), (0, 1, float("inf")), [0, 1, 2], "012", None]:
+            assert t not in full
+        assert (0, 1, 2.0) in full and (np.int64(0), 1, 2) in full
+
+    def test_membership_at_large_n(self):
+        # no table of all C(n+1, 3) triples is built
+        start = time.perf_counter()
+        J = TripleSet.of(900, [(0, 1, 2), (898, 899, 900)])
+        assert (0, 1, 2) in J and (898, 899, 900) in J
+        assert (0, 1, 3) not in J and (0, 1, 901) not in J
+        assert time.perf_counter() - start < 1.0
+
     def test_set_operations(self):
         a = TripleSet.of(3, [(0, 1, 2), (0, 1, 3)])
         b = TripleSet.of(3, [(0, 1, 3), (1, 2, 3)])
@@ -75,7 +97,7 @@ class TestCanonicalization:
             n = rng.randint(2, 5)
             trips = all_triples(n)
             J = TripleSet.of(n, rng.sample(trips, rng.randint(0, min(6, len(trips)))))
-            brute = min(J.apply(p).mask for p in permutations(n))
+            brute = min(apply_perm(J, p).mask for p in permutations(n))
             assert J.canonical().mask == brute
 
     def test_orbit_size_matches_enumeration(self, rng):
@@ -83,7 +105,7 @@ class TestCanonicalization:
             n = rng.randint(2, 4)
             trips = all_triples(n)
             J = TripleSet.of(n, rng.sample(trips, rng.randint(0, len(trips))))
-            orbit = {J.apply(p).mask for p in permutations(n)}
+            orbit = {apply_perm(J, p).mask for p in permutations(n)}
             assert canonical_mask_orbit(n, J.mask)[1] == len(orbit)
 
     def test_matches_brute_force_at_n6(self, rng):
@@ -91,7 +113,7 @@ class TestCanonicalization:
         perms = permutations(6)
         for _ in range(3):
             J = TripleSet.of(6, rng.sample(all_triples(6), rng.randint(1, 34)))
-            images = {J.apply(p).mask for p in perms}
+            images = {apply_perm(J, p).mask for p in perms}
             canon, orbit = canonical_mask_orbit(6, J.mask)
             assert canonical_mask(6, J.mask) == canon == min(images)
             assert orbit == len(images) and 5040 % orbit == 0
@@ -131,15 +153,15 @@ class TestCanonicalization:
             trips = all_triples(n)
             J = TripleSet.of(n, rng.sample(trips, rng.randint(1, min(6, len(trips)))))
             perm = permutations(n)[rng.randrange(len(permutations(n)))]
-            image = J.apply(perm)
-            found = J.find_permutation_to(image)
+            image = apply_perm(J, perm)
+            found = find_permutation_to(J, image)
             assert found is not None
-            assert J.apply(found) == image
+            assert apply_perm(J, found) == image
 
     def test_find_permutation_fails_across_orbits(self):
         a = TripleSet.of(3, [(0, 1, 2)])
         b = TripleSet.of(3, [(0, 1, 2), (0, 1, 3)])
-        assert a.find_permutation_to(b) is None
+        assert find_permutation_to(a, b) is None
 
     def test_permute_triple_sorts(self):
         perm = (3, 0, 1, 2)

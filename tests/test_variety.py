@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_qmatrix, random_structured_qmatrix
+from conftest import is_rank_one, monomial_variety_check, random_qmatrix, random_structured_qmatrix
 from qpoints import variety
 from qpoints.gallery import (
     all_ones_matrix,
@@ -17,13 +17,7 @@ from qpoints.gallery import (
 )
 from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix
 from qpoints.triples import TripleSet, all_triples
-from qpoints.variety import (
-    components,
-    good_triples,
-    ideal_generators,
-    is_rank_one,
-    monomial_variety_check,
-)
+from qpoints.variety import components, good_triples, ideal_generators
 
 
 def brute_force_components(good: TripleSet):
