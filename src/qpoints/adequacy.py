@@ -6,9 +6,9 @@ necessary condition.  Denseness is a stronger condition, kept for the
 classification (the catalog's dense flag and the two non-dense classes at
 n = 5); realization does not depend on it, only on whether the complement
 is closed under the character span.  The complements of the adequate
-collections are the quartet-closed sets, so the catalog is lattice.traverse
-with no closing beyond the four-index rule.  adequate_masks, a sweep of all
-2^C(n+1,3) collection masks, stays as the reference for n <= 5.
+collections are the quartet-closed sets, the classes of lattice.traverse
+(cached per n, and read by the degeneration graph too).  adequate_masks,
+a sweep of all 2^C(n+1,3) collection masks, is the reference for n <= 5.
 """
 
 from __future__ import annotations
@@ -121,15 +121,11 @@ def adequate_masks(n: int) -> np.ndarray:
 def enumerate_adequate(n: int) -> OrbitCatalog:
     """Catalog of all adequate collections up to coordinate symmetry, in
     ascending order of canonical mask.  Their complements are the
-    quartet-closed sets, so lattice.traverse with no further closing meets
-    each class once; one gather per class, of the collection full ^ m,
-    gives its canonical mask and its orbit size."""
-    if n < 0:
-        raise ValueError(f"dimension index n must be >= 0, got {n}")
-    nt = num_triples(n)
-    if nt > 25:
-        raise ValueError(f"adequate enumeration over 2^{nt} collections (n = {n}) is out of budget; n <= 5")
-    full = (1 << nt) - 1
-    classes = sorted(traverse(n, lambda m: (m, canonical_mask_orbit(n, full ^ m)))[0].values())
-    sizes = tuple(size for _, size in classes)
-    return OrbitCatalog(n, tuple(TripleSet(n, c) for c, _ in classes), sizes, sum(sizes))
+    quartet-closed sets, the classes of lattice.traverse; one gather per
+    class, of the collection full ^ m, gives its canonical mask and its
+    orbit size."""
+    classes = traverse(n)[0]  # first: its size rule guards the 1 << nt below
+    full = (1 << num_triples(n)) - 1
+    orbits = sorted(canonical_mask_orbit(n, full ^ m) for m in classes)
+    sizes = tuple(size for _, size in orbits)
+    return OrbitCatalog(n, tuple(TripleSet(n, c) for c, _ in orbits), sizes, sum(sizes))

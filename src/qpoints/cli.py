@@ -252,7 +252,7 @@ def cmd_sinks(args) -> int:
 
 def cmd_forced(args) -> int:
     good = _load_collection(args.goodset)
-    if args.pin:
+    if args.pin is not None:
         pins = []
         for chunk in args.pin.replace(";", " ").split():
             try:

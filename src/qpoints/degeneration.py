@@ -6,10 +6,10 @@ closure.  Nodes of the degeneration graph are the closed triple sets up to
 coordinate symmetry, each carrying the dimension label of its sub-torus and
 the type vector of the point variety it produces; arrows record strict
 inclusion of closed sets (larger closed set = smaller torus = bigger point
-variety), transitively reduced.  One traversal builds both: lattice.traverse
-with the exact lattice closure, which also yields the node label, lists the
-classes, and the transitive reduction of its one-step inclusions is the
-arrow set.
+variety), transitively reduced.  Both are read off lattice.traverse, the
+quartet traversal, cached per n, that also lists the catalog: the nodes are
+the classes that the exact closure fixes (175 closures at n = 5), and the
+arrows reduce the one-step inclusions out of them, their targets closed.
 This module builds only the graph; the character equations
 b_t = 1 of a node are solved in realize (SolutionFamily).
 """
@@ -81,22 +81,21 @@ def node_ids(nodes: Sequence[DegNode]) -> tuple[str, ...]:
 
 
 def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
-    """Closed-set classes and one-step inclusions: lattice.traverse with
-    the exact lattice closure, whose span also gives the node label."""
-
-    def close(lm: int) -> tuple[int, tuple[TripleSet, int, int]]:
-        closed, label = _closure_label(TripleSet(n, lm))
-        cm, orbit = canonical_mask_orbit(n, closed.mask)
-        return cm, (closed, label, orbit)
-
-    classes, steps = traverse(n, close)
-    # type vectors once the traversal is done: computed inside close, the
-    # graph workload measured about 7% slower (same calls, interleaved)
-    nodes = [
-        DegNode(TripleSet(n, cm), label, components(closed).type_vector, orbit)
-        for cm, (closed, label, orbit) in classes.items()
-    ]
-    return nodes, steps
+    """Closed-set classes and one-step inclusions, read off the classes of
+    lattice.traverse.  The exact closure runs once per class, and its span
+    also gives the label; a class is a node when its closure adds nothing,
+    and a step (K, L) from a node becomes (K, the closed class of L)."""
+    classes, successors = traverse(n)
+    closed_class: dict[int, int] = {}
+    fixed = []
+    for m in classes:
+        closed, label = _closure_label(TripleSet(n, m))
+        closed_class[m], orbit = canonical_mask_orbit(n, closed.mask)
+        if closed.mask == m:
+            fixed.append((closed, label, orbit))
+    # type vectors after the closures: interleaved, the graph workload ran 4% slower
+    nodes = [DegNode(closed, label, components(closed).type_vector, orbit) for closed, label, orbit in fixed]
+    return nodes, {(k, closed_class[m]) for k, ms in zip(classes, successors) if closed_class[k] == k for m in ms}
 
 
 @lru_cache(maxsize=None)
@@ -112,10 +111,6 @@ def enumerate_nodes(n: int, long: bool = False) -> tuple[DegNode, ...]:
     """All degeneration-graph nodes of dimension n, sorted by (label,
     canonical closed set).  n = 5 takes a fraction of a second but must
     still be requested with long=True."""
-    if n < 0:
-        raise ValueError(f"dimension index n must be >= 0, got {n}")
-    if n > 5:
-        raise ValueError(f"node enumeration supported for 0 <= n <= 5, got {n}")
     if n == 5 and not long:
         raise BudgetError("n = 5 node enumeration requires the long flag")
     return _nodes_cached(n)[0]

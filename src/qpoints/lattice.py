@@ -24,9 +24,10 @@ simplicial boundary e_ij + e_jk - e_ik, so its image is V[ij] + V[jk] -
 V[ik].  Realization, its obstructions and forced solutions read that
 quotient; closure and node labels read L.
 
-One traversal, traverse, lists the classes of two closure systems up to
-symmetry: the quartet-closed sets (quartet_saturate), complements of the
-adequate collections, and the closed sets, the degeneration graph's nodes.
+One traversal, traverse, cached per n and sized for n <= 5, lists the
+quartet-closed sets (quartet_saturate), complements of the adequate
+collections, up to symmetry; the closed sets, the degeneration graph's
+nodes, are the classes that closure fixes.
 
 Characters are sparse, and so are their echelon rows, so the kernel walks
 row supports: SubLattice.add and contains do arithmetic only on the
@@ -41,7 +42,6 @@ from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -289,44 +289,36 @@ def _quartet_add(n: int, mask: int, b: int) -> int:
     return mask
 
 
-def traverse(n: int, close: Callable[[int], tuple[int, object]]) -> tuple[dict[int, object], set[tuple[int, int]]]:
-    """Classes of a closure system on triple masks up to coordinate
-    symmetry, and canonical one-step inclusions between them.
+@lru_cache(maxsize=None)
+def traverse(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Quartet-closed triple masks up to coordinate symmetry, and canonical
+    one-step inclusions between them.
 
-    close(m) maps a canonical quartet-closed mask m to the canonical mask
-    of its class's closed set, itself quartet-closed, and a payload; it
-    runs once per canonical quartet-closed mask reached, 0 first.  From
-    each class representative K, every extension K + t is saturated by
-    one _quartet_add step, which keeps the closure of K + t; the results
-    for K are canonicalized in one batched gather, and close runs on the
-    new ones.  The closure commutes with the coordinate permutations, so
-    the class of a saturated set fixes the class of its closure.  Every
-    class is reached, since dropping one element of a minimal generating
-    set leaves a smaller closed set.  Returns {canonical closed mask: the
-    payload of its first close} and the pairs (K, closure(K + t)): every
-    cover is among them, and some non-covers may be.
+    From each class representative K, every extension K + t is saturated
+    by one _quartet_add step, and the results for K are canonicalized in
+    one batched gather.  Every class is reached from the empty set, since
+    dropping one element of a minimal generating set leaves a smaller
+    closed set.  Returns the canonical masks K, 0 first, and for each K
+    the canonical quartet_saturate(K + t): the one-step pairs, held per
+    class in half the memory of a set of pairs, as the cache keeps them.
+    The exact closure commutes with the coordinate permutations and
+    contains the four-index rule, so the closed sets are among the
+    classes, and the closure of a class's set fixes its closed class.
+    Sized for n <= 5.
     """
-    cm, payload = close(0)
-    classes = {cm: payload}
-    closed_class: dict[int, int] = {}  # canonical saturated mask -> canonical closed mask
-    steps: set[tuple[int, int]] = set()
-    frontier = [cm]
-    while frontier:
-        next_frontier = []
-        for k in frontier:
-            ls = {_quartet_add(n, k, b) for b in range(num_triples(n)) if not k >> b & 1}
-            images = mask_images(n, np.fromiter(ls, dtype=np.int64, count=len(ls)))
-            for lm in set(images.min(axis=1).tolist()):
-                cm = closed_class.get(lm)
-                if cm is None:
-                    cm, payload = close(lm)
-                    closed_class[lm] = cm
-                    if cm not in classes:
-                        classes[cm] = payload
-                        next_frontier.append(cm)
-                steps.add((k, cm))
-        frontier = next_frontier
-    return classes, steps
+    if n < 0:
+        raise ValueError(f"dimension index n must be >= 0, got {n}")
+    if n > 5:
+        raise ValueError(f"closure-class enumeration (n = {n}) is out of budget; n <= 5")
+    classes, successors, seen = [0], [], {0}
+    for k in classes:
+        ls = {_quartet_add(n, k, b) for b in range(num_triples(n)) if not k >> b & 1}
+        images = mask_images(n, np.fromiter(ls, dtype=np.int64, count=len(ls)))
+        targets = set(images.min(axis=1).tolist())
+        successors.append(tuple(targets))
+        classes += targets - seen
+        seen |= targets
+    return tuple(classes), tuple(successors)
 
 
 def quartet_saturate(J: TripleSet) -> TripleSet:
@@ -335,9 +327,9 @@ def quartet_saturate(J: TripleSet) -> TripleSet:
     The four faces of a tetrahedron i < j < k < l have characters whose
     alternating sum is zero (the boundary of a boundary), so whenever three
     faces are present the fourth is forced.  The result lies between J and
-    closure(J) and has the same closure, which makes this the cheap first
-    closure of traverse; its fixed points are exactly the complements of
-    the adequate collections.
+    closure(J) and has the same closure; it is the one rule traverse
+    walks, and its fixed points are exactly the complements of the
+    adequate collections.
 
     The empty set is closed, so adding the bits of J one at a time with
     _quartet_add, which keeps the running mask closed, reaches the fixed

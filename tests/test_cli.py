@@ -78,6 +78,14 @@ class TestPts:
         path.write_text(json.dumps(data))
         assert main(["pts", str(path)]) == 3
 
+    def test_non_integer_exponent_exits_3(self, tmp_path, capsys):
+        data = p3_two_planes_matrix().to_json_dict()
+        data["upper"]["0,1"] = "a^1_0"
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(data))
+        assert main(["pts", str(path)]) == 3
+        assert "bad exponent in token 'a^1_0'" in capsys.readouterr().err
+
     def test_single_point_is_p0(self, tmp_path, capsys):
         path = tmp_path / "p0.json"
         path.write_text(json.dumps({"n": 0, "upper": {}}))
@@ -713,6 +721,17 @@ class TestSinksAndForced:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert repr(chunk) in captured.err
+
+    @pytest.mark.parametrize("pin", ["", " ", ";"])
+    def test_forced_empty_pin_pins_nothing(self, tmp_path, capsys, pin):
+        # an empty --pin pins no pair; the default pins (i, n) for every i
+        from qpoints.triples import TripleSet
+
+        path = write_collection(tmp_path, TripleSet.empty(3), "good.json")
+        assert main(["forced", path, "--pin", pin]) == 0
+        assert "solution set: torus of dimension 6" in capsys.readouterr().out
+        assert main(["forced", path]) == 0
+        assert "solution set: torus of dimension 3" in capsys.readouterr().out
 
     def test_forced_out_of_range_pin_exits_3(self, tmp_path, capsys):
         path = write_collection(tmp_path, pentagonal_good_set(), "good.json")

@@ -84,6 +84,16 @@ class TestGroupScalar:
         with pytest.raises(ScalarError):
             parse_scalar("3a*b")
 
+    @pytest.mark.parametrize("text", ["a^", "w^", "a^1_0", "a^\u0661", "a^--1", "a^+", "b*a^ "])
+    def test_bad_exponents_rejected(self, text):
+        # an exponent is ASCII digits with an optional sign, as int() alone
+        # would also take underscores and other scripts' digits
+        with pytest.raises(ScalarError, match="bad exponent in token"):
+            parse_scalar(text)
+
+    def test_signed_exponents_accepted(self):
+        assert parse_scalar("a^+2*b^-1*w^3", 4) == parse_scalar("a ^ 2*b^-1*w^-1", 4)
+
 
 class TestQMatrix:
     def test_entries_of_reference_matrix(self):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -167,6 +168,15 @@ def test_quartet_step_taken_only_by_traversal_and_saturation():
     # one closure-system traversal builds both the catalog and the graph
     assert calling_scopes("_quartet_add") == {"lattice.traverse", "lattice.quartet_saturate"}
     assert calling_scopes("traverse") == {"adequacy.enumerate_adequate", "degeneration._closed_reps_bfs"}
+
+
+def test_traverse_is_a_function_of_n_alone():
+    # one closure system, traversed once per n: no closing callback
+    from qpoints.lattice import traverse
+
+    assert list(inspect.signature(traverse).parameters) == ["n"]
+    assert callable(traverse.cache_info)
+
 
 def test_traced_names_exist():
     # the benchmark tracer wraps these names by module attribute or class
