@@ -7,7 +7,7 @@ classification (the catalog's dense flag and the two non-dense classes at
 n = 5); realization does not depend on it, only on whether the complement
 is closed under the character span.  The complements of the adequate
 collections are the quartet-closed sets, the classes of lattice.traverse
-(cached per n, and read by the degeneration graph too).  adequate_masks,
+(read by the degeneration graph too).  adequate_masks,
 a sweep of all 2^C(n+1,3) collection masks, is the reference for n <= 5.
 """
 

@@ -24,7 +24,7 @@ simplicial boundary e_ij + e_jk - e_ik, so its image is V[ij] + V[jk] -
 V[ik].  Realization, its obstructions and forced solutions read that
 quotient; closure and node labels read L.
 
-One traversal, traverse, cached per n and sized for n <= 5, lists the
+One traversal, traverse, sized for n <= 5, lists the
 quartet-closed sets (quartet_saturate), complements of the adequate
 collections, up to symmetry; the closed sets, the degeneration graph's
 nodes, are the classes that closure fixes.
@@ -289,22 +289,18 @@ def _quartet_add(n: int, mask: int, b: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
 def traverse(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Quartet-closed triple masks up to coordinate symmetry, and canonical
     one-step inclusions between them.
 
-    From each class representative K, every extension K + t is saturated
+    Returns the canonical masks K, 0 first, and for each K the canonical
+    masks quartet_saturate(K + t), t not in K.  Each K + t is saturated
     by one _quartet_add step, and the results for K are canonicalized in
     one batched gather.  Every class is reached from the empty set, since
     dropping one element of a minimal generating set leaves a smaller
-    closed set.  Returns the canonical masks K, 0 first, and for each K
-    the canonical quartet_saturate(K + t): the one-step pairs, held per
-    class in half the memory of a set of pairs, as the cache keeps them.
-    The exact closure commutes with the coordinate permutations and
-    contains the four-index rule, so the closed sets are among the
-    classes, and the closure of a class's set fixes its closed class.
-    Sized for n <= 5.
+    closed set.  The exact closure commutes with the coordinate
+    permutations and contains the four-index rule, so the closed sets are
+    among the classes.  Sized for n <= 5.
     """
     if n < 0:
         raise ValueError(f"dimension index n must be >= 0, got {n}")

@@ -30,7 +30,6 @@ from .triples import Triple, check_triple
 TORSION_NAME = "w"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_EXPONENT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 @lru_cache(maxsize=4096)
@@ -156,9 +155,12 @@ def _parse_terms(text: str) -> tuple[dict[str, int], int]:
         token = token.strip()
         name, caret, power = token.partition("^")
         name = name.strip()
-        if caret and not _EXPONENT_RE.match(power.strip()):
-            raise ScalarError(f"bad exponent in token {token!r}")
-        e = int(power) if caret else 1
+        try:
+            if not power.isascii() or "_" in power:
+                raise ValueError(power)
+            e = int(power) if caret else 1
+        except ValueError as exc:
+            raise ScalarError(f"bad exponent in token {token!r}") from exc
         if name == TORSION_NAME:
             torsion += e
         elif _is_generator_name(name):

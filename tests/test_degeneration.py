@@ -14,7 +14,6 @@ from qpoints.degeneration import (
     BudgetError,
     DegNode,
     _closed_reps_bfs,
-    _nodes_cached,
     build_graph,
     enumerate_nodes,
     graph_json_dict,
@@ -31,7 +30,6 @@ from qpoints.lattice import (
     num_pairs,
     pair_list,
     smith_normal_form,
-    traverse,
     triple_char,
 )
 from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node, realize_all
@@ -247,14 +245,6 @@ class TestNodes:
             assert len(complements) == len(nodes)
         assert (len(nodes), len(catalog)) == (174, 175)
         assert [i for i, result in enumerate(results) if not result.success] == [106]
-
-    def test_catalog_and_graph_share_one_traversal(self):
-        # both read the classes of one cached quartet traversal per n
-        for cached in (traverse, enumerate_adequate, _nodes_cached):
-            cached.cache_clear()
-        enumerate_adequate(4)
-        build_graph(4)
-        assert traverse.cache_info().misses == 1
 
     def test_ids_disambiguate(self):
         nodes = enumerate_nodes(4)

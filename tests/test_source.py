@@ -171,11 +171,10 @@ def test_quartet_step_taken_only_by_traversal_and_saturation():
 
 
 def test_traverse_is_a_function_of_n_alone():
-    # one closure system, traversed once per n: no closing callback
+    # one closure system, the quartet rule: no closing callback
     from qpoints.lattice import traverse
 
     assert list(inspect.signature(traverse).parameters) == ["n"]
-    assert callable(traverse.cache_info)
 
 
 def test_traced_names_exist():
