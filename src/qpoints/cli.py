@@ -111,9 +111,13 @@ def _emit(body: str, args, inputs: tuple[Path, ...] = ()) -> None:
         sys.stdout.write(body)
         return
     path = Path(args.out)
-    path.write_text(body)
     manifest = path.with_suffix(path.suffix + ".manifest.json")
-    manifest.write_text(_json_text(_manifest(args.argv, inputs, path)) + "\n")
+    for target, text in ((path, body), (manifest, _json_text(_manifest(args.argv, inputs, path)) + "\n")):
+        try:
+            target.write_text(text)
+        except OSError as exc:
+            exc.filename = exc.filename or str(target)  # a failed write names no file
+            raise
 
 
 def _read_text(path: str) -> str:
@@ -197,12 +201,14 @@ def cmd_graph(args) -> int:
 def cmd_realize(args) -> int:
     if args.cls is not None:
         n, index = args.cls
-        if not n.removeprefix("-").isdecimal():
+        try:
+            n = int(n)
+        except ValueError:
             print(f"error: class dimension N must be an integer, got {n!r}", file=sys.stderr)
             return EXIT_PARSE
-        catalog = enumerate_adequate(int(n))
-        if str(index) == "all":
-            results = realize_all(int(n))
+        catalog = enumerate_adequate(n)
+        if index == "all":
+            results = realize_all(n)
             _emit(
                 "".join(
                     f"class {i}: {'ok' if r.success else 'FAILED'} ({r.method})\n"
@@ -213,14 +219,14 @@ def cmd_realize(args) -> int:
             realized = sum(r.success for r in results)
             print(f"realized {realized}/{len(results)}")
             return EXIT_OK if realized == len(results) else EXIT_REALIZE_FAILED
-        reps = catalog.representatives
-        if not (index.isdecimal() and int(index) < len(reps)):
-            print(
-                f"error: class index must be 0..{len(catalog) - 1} or 'all'",
-                file=sys.stderr,
-            )
+        try:
+            k = int(index)
+        except ValueError:
+            k = -1
+        if not 0 <= k < len(catalog):
+            print(f"error: class index must be 0..{len(catalog) - 1} or 'all'", file=sys.stderr)
             return EXIT_PARSE
-        target = reps[int(index)]
+        target = catalog.representatives[k]
     else:
         target = _load_collection(args.collection)
     try:

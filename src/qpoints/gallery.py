@@ -8,6 +8,7 @@ dense, and the matrices realizing them.
 
 from __future__ import annotations
 
+from .lattice import pair_list
 from .scalars import GeneratorTable, GroupScalar, QMatrix, parse_scalar
 from .triples import TripleSet
 
@@ -44,10 +45,7 @@ def block_matrix(gen: str = "x") -> QMatrix:
     table = GeneratorTable((gen,), 2)
     x = table.gen(gen)
     one = table.one()
-    upper = {}
-    for i in range(6):
-        for j in range(i + 1, 6):
-            upper[(i, j)] = x if i in (0, 1) and j in (4, 5) else one
+    upper = {(i, j): x if i in (0, 1) and j in (4, 5) else one for i, j in pair_list(5)}
     return QMatrix(5, upper, table)
 
 
@@ -77,8 +75,7 @@ def sign_matrix() -> QMatrix:
     table = GeneratorTable((), 2)
     upper = {
         (i, j): GroupScalar.root_of_unity(2) if grid[i][j] < 0 else table.one()
-        for i in range(6)
-        for j in range(i + 1, 6)
+        for i, j in pair_list(5)
     }
     return QMatrix(5, upper, table)
 

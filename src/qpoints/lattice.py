@@ -6,6 +6,9 @@ functions q_uv, u < v.  Sub-tori cut out by sets of such characters are
 compared through the integer span of their characters; membership is exact
 integer membership (no saturation), which is what keeps torsion solutions
 such as sign matrices distinguishable from the identity component.
+This module alone lays out the coordinates: pair_list is the pair order
+of matrix rows, pair_index its inverse, and boundary_pairs the (ij, jk,
+ik) table of every triple that good_triples and the generic point read.
 
 The lattice is read as homology.  For a triple set K, let X_K be the
 2-complex on the n + 1 coordinates with every edge and the triangles of
@@ -67,6 +70,15 @@ def pair_index(n: int) -> dict[tuple[int, int], int]:
 
 def num_pairs(n: int) -> int:
     return comb(n + 1, 2)
+
+
+@lru_cache(maxsize=None)
+def boundary_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair indices (ij, jk, ik) of every triple, in lexicographic order."""
+    pair = np.zeros((n + 1, n + 1), dtype=np.intp)
+    pair[np.triu_indices(n + 1, 1)] = np.arange(num_pairs(n))
+    i, j, k = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3).T
+    return pair[i, j], pair[j, k], pair[i, k]
 
 
 def triple_char(t: Triple, n: int) -> tuple[int, ...]:

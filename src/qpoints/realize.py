@@ -29,8 +29,8 @@ from .lattice import (
     TORSION_SEARCH_LIMIT,
     Quotient,
     SubLattice,
+    boundary_pairs,
     num_pairs,
-    pair_index,
     pair_list,
     triple_chars,
 )
@@ -212,7 +212,6 @@ def forced_solutions(
     n = G.n
     _check_solver_bound(n)
     P = num_pairs(n)
-    idx = pair_index(n)
     norm: list[tuple[int, int]] = []
     for pair in normalization:
         i, j = int(pair[0]), int(pair[1])
@@ -224,7 +223,7 @@ def forced_solutions(
     chars = triple_chars(n)
     rows = itertools.chain(
         (chars[t] for t in G),
-        ([int(p == idx[pair]) for p in range(P)] for pair in norm),
+        ([int(q == pair) for q in pair_list(n)] for pair in norm),
     )
     return SolutionFamily(n, SubLattice.span(rows, P).quotient())
 
@@ -248,13 +247,13 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     # e_ij + e_jk - e_ik read as V[ij] + V[jk] - V[ik]: those that are zero
     # are forced into it; those zero on the free columns lie in a torsion
     # coset of the span, and only a torsion character can obstruct them
-    V, idx = quotient.V, pair_index(n)
+    V = quotient.V
+    ij, jk, ik = (a.tolist() for a in boundary_pairs(n))
     forced, free_zero_outside = [], []
     for b, t in enumerate(all_triples(n)):
         if closed.mask >> b & 1:
             continue
-        i, j, k = t
-        z = [u + v - w for u, v, w in zip(V[idx[i, j]], V[idx[j, k]], V[idx[i, k]])]
+        z = [u + v - w for u, v, w in zip(V[ij[b]], V[jk[b]], V[ik[b]])]
         if quotient.is_zero(z):
             forced.append(t)
         elif not any(z[x] for x in quotient.free):

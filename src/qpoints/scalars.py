@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .lattice import pair_list
 from .triples import Triple, check_triple
 
 #: Reserved name for the distinguished root of unity in the string syntax.
@@ -268,19 +269,16 @@ class QMatrix:
             raise ScalarError("upper triangle must hold exactly the pairs i < j")
         column = table._columns
         found: list[tuple[int, int, int]] = []
-        p = 0
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                try:
-                    exps, phase = entries[i, j]
-                    if phase:
-                        found.append((p, 0, phase))
-                    found += [(p, column[g], e) for g, e in exps if e]
-                except KeyError:
-                    if (i, j) not in entries:
-                        raise ScalarError("upper triangle must hold exactly the pairs i < j") from None
-                    raise TableMismatchError("matrix entry not admitted by generator table") from None
-                p += 1
+        for p, pair in enumerate(pair_list(n)):
+            try:
+                exps, phase = entries[pair]
+                if phase:
+                    found.append((p, 0, phase))
+                found += [(p, column[g], e) for g, e in exps if e]
+            except KeyError:
+                if pair not in entries:
+                    raise ScalarError("upper triangle must hold exactly the pairs i < j") from None
+                raise TableMismatchError("matrix entry not admitted by generator table") from None
         found.sort()  # in linear time when each entry lists its names in table order
         rows, cols, vals = zip(*found) if found else ((), (), ())
         # the narrowest type holding +-3 times the largest entry, so a sum
@@ -309,7 +307,7 @@ class QMatrix:
     def upper(self) -> dict[tuple[int, int], GroupScalar]:
         """The upper triangle as {(i, j): q_ij}."""
         names, modulus = self.table.names, self.table.torsion_modulus
-        pairs = [(i, j) for i in range(self.n + 1) for j in range(i + 1, self.n + 1)]
+        pairs = pair_list(self.n)
         exps: list[list[tuple[str, int]]] = [[] for _ in pairs]
         phase = [0] * len(pairs)
         for p, c, e in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
@@ -323,10 +321,7 @@ class QMatrix:
 
     @classmethod
     def ones(cls, n: int, modulus: int = 2) -> "QMatrix":
-        one = GroupScalar.one(modulus)
-        upper = {
-            (i, j): one for i in range(n + 1) for j in range(i + 1, n + 1)
-        }
+        upper = dict.fromkeys(pair_list(n), GroupScalar.one(modulus))
         return cls(n, upper, GeneratorTable((), modulus))
 
     def entry(self, i: int, j: int) -> GroupScalar:
@@ -355,11 +350,7 @@ class QMatrix:
 
     def conjugate(self, perm: tuple[int, ...]) -> "QMatrix":
         """Relabeled matrix R with R[i][j] = Q[perm(i)][perm(j)]."""
-        upper = {
-            (i, j): self.entry(perm[i], perm[j])
-            for i in range(self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        }
+        upper = {(i, j): self.entry(perm[i], perm[j]) for i, j in pair_list(self.n)}
         return QMatrix(self.n, upper, self.table)
 
     def to_json_dict(self) -> dict:

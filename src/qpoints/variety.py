@@ -4,22 +4,22 @@ The reduced point variety of such an algebra is a union of coordinate
 subspaces of projective n-space, fully determined by which coordinate planes
 (triples) it contains.  This module computes that triple set from the
 defining matrix in one exact integer pass over an exponent array (the
-obstruction scalar of a triple is a signed sum of three pair rows),
-enumerates the irreducible components (maximal flats) and type vector,
-and extracts the cubic monomial generators of the defining ideal.
+obstruction scalar of a triple is a signed sum of the three pair rows that
+lattice.boundary_pairs names; lattice owns the pair order), enumerates
+the irreducible components (maximal flats) and type vector, and extracts
+the cubic monomial generators of the defining ideal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import num_pairs
+from .lattice import boundary_pairs, num_pairs
 from .scalars import QMatrix
-from .triples import Triple, TripleSet, all_triples
+from .triples import Triple, TripleSet
 
 #: A flat is the sorted index set of a coordinate subspace; its projective
 #: dimension is len(flat) - 1.
@@ -53,15 +53,6 @@ class Configuration:
 _STEP_ENTRIES = 1 << 18
 
 
-@lru_cache(maxsize=None)
-def _triple_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair indices (ij, jk, ik) of every triple, in lexicographic order."""
-    pair = np.zeros((n + 1, n + 1), dtype=np.intp)
-    pair[np.triu_indices(n + 1, 1)] = np.arange(num_pairs(n))
-    i, j, k = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3).T
-    return pair[i, j], pair[j, k], pair[i, k]
-
-
 def good_triples(Q: QMatrix) -> TripleSet:
     """Triples whose coordinate plane lies in the point variety.
 
@@ -79,7 +70,7 @@ def good_triples(Q: QMatrix) -> TripleSet:
     """
     n, modulus = Q.n, Q.table.torsion_modulus
     rows, cols, vals = Q.rows, Q.cols, Q.vals
-    ij, jk, ik = _triple_pairs(n)
+    ij, jk, ik = boundary_pairs(n)
     good = np.ones(len(ij), dtype=bool)
     width, pairs = len(Q.table.names) + 1, num_pairs(n)
     block = max(1, _STEP_ENTRIES // max(pairs, 1))

@@ -123,6 +123,23 @@ class TestPts:
         assert main(["pts", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, code, message",
+        [
+            ({"n": 1, "upper": {"1,0": "a"}}, 3, "invalid input: upper triangle must hold exactly the pairs i < j"),
+            ({"n": 1, "upper": {"0,1": "a"}, "torsion_modulus": 0}, 3, "invalid input: torsion modulus must be >= 1"),
+            ([{"n": 1, "upper": {"0,1": "a"}}], 2, "parse error: matrix JSON must be an object"),
+            ({"n": 1, "upper": {"0,1": {"exponents": {"1a": 1}}}}, 3, "invalid input: bad generator name '1a'"),
+        ],
+        ids=["lower-pair-key", "zero-modulus", "top-level-array", "bad-object-name"],
+    )
+    def test_malformed_matrix_exits_naming_reason(self, tmp_path, capsys, data, code, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["pts", str(path)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
     def test_keys_naming_one_pair_exit_2(self, tmp_path, capsys):
         path = tmp_path / "twice.json"
         path.write_text(json.dumps({"n": 1, "upper": {"0,1": "a", " 0, 1": "b"}}))
@@ -292,6 +309,15 @@ class TestFileErrors:
         assert captured.out == ""
         reason = "No such file or directory" if "missing" in target else "Is a directory"
         assert captured.err == f"error: {target.replace('DIR', str(tmp_path))}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failed_write_exits_2_naming_path(self, capsys):
+        # a write that fails after the open, unlike a failed open, carries
+        # no file name of its own
+        assert main(["enumerate", "3", "--adequate", "--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: /dev/full: No space left on device\n")
+        assert not os.path.exists("/dev/full.manifest.json")
 
     @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
     def test_undecodable_input_exits_2_naming_path(self, tmp_path, capsys, command):
@@ -631,6 +657,14 @@ class TestRealize:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("n, index", [("+5", "0"), (" 5", "0"), ("5", "+0"), ("5", " 0")])
+    def test_class_reads_integers_as_int_arguments_do(self, capsys, n, index):
+        # N and INDEX follow the rule of the n of enumerate, graph and sinks
+        assert main(["realize", "--class", "5", "0"]) == 0
+        expected = capsys.readouterr()
+        assert main(["realize", "--class", n, index]) == 0
+        assert capsys.readouterr() == expected
+
     def test_class_all_reports_obstruction(self, capsys):
         assert main(["realize", "--class", "5", "all"]) == 5
         out = capsys.readouterr().out
@@ -732,6 +766,13 @@ class TestSinksAndForced:
         assert "solution set: torus of dimension 6" in capsys.readouterr().out
         assert main(["forced", path]) == 0
         assert "solution set: torus of dimension 3" in capsys.readouterr().out
+
+    def test_forced_single_point(self, tmp_path, capsys):
+        from qpoints.triples import TripleSet
+
+        path = write_collection(tmp_path, TripleSet.empty(0), "good.json")
+        assert main(["forced", path]) == 0
+        assert capsys.readouterr().out == "solution set: a single point\nsolution 0: all q = 1\n"
 
     def test_forced_out_of_range_pin_exits_3(self, tmp_path, capsys):
         path = write_collection(tmp_path, pentagonal_good_set(), "good.json")

@@ -357,6 +357,10 @@ class TestForcedSolutions:
         assert family.free_rank == 15
         assert "dimension 15" in family.describe()
 
+    def test_positive_dimensional_family_lists_no_solutions(self):
+        with pytest.raises(ValueError, match="positive-dimensional"):
+            forced_solutions(TripleSet.empty(2)).solutions()
+
     def test_matches_unreduced_system(self):
         # oracle: the Smith normal form of one row per good triple plus one
         # per pin, without the echelon reduction

@@ -114,6 +114,42 @@ def test_sublattice_state_written_only_in_lattice():
     assert lattice_state_writes(ast.parse(probe)) == [1, 2, 3, 4, 5]
 
 
+def pair_layouts(tree: ast.AST) -> list[int]:
+    """Lines that lay out the pairs i < j on their own: a call of
+    triu_indices, or a range that starts one past a name, range(i + 1, ...)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        past_name = (
+            len(args) > 1
+            and isinstance(args[0], ast.BinOp)
+            and isinstance(args[0].op, ast.Add)
+            and isinstance(args[0].left, ast.Name)
+            and getattr(args[0].right, "value", None) == 1
+        )
+        if name == "triu_indices" or (name == "range" and past_name):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_pair_order_laid_out_only_in_lattice():
+    # lattice owns the torus coordinates: matrix rows walk pair_list, and
+    # good triples and the generic point read boundary_pairs
+    package = Path(qpoints.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "lattice.py"
+        for line in pair_layouts(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    probe = "for j in range(i + 1, n + 1):\n    pass\nnp.triu_indices(n + 1, 1)\nrange(i + 1)\nrange(i + 2, n)\nrange(1 + i, n)"
+    assert pair_layouts(ast.parse(probe)) == [1, 3]
+
+
 def test_torsion_limit_read_only_by_solution_family():
     # one solver lists the torsion characters of b_t = 1, so the search
     # limit is read in SolutionFamily.characters and nowhere else
