@@ -5,11 +5,11 @@ are deterministic; identical inputs produce byte-identical outputs (fresh
 generator names are sequential).  enumerate, graph and realize write their
 body to stdout or, with --out F, to the file F and its manifest
 F.manifest.json; their summary line always goes to stdout.  Exit codes:
-0 ok, 2 parse/usage or a file that cannot be read or written, 3 input
-invariant violation or input beyond a size bound, 4 input not adequate,
-5 realization failure, 141 stdout closed by its reader before all output
-was written (as in `qpoints graph 5 --long --json | head`): the command
-ends quietly, with the code a shell reports for a writer killed by
+0 ok, 2 parse/usage or a file, stdout included, that cannot be read or
+written, 3 input invariant violation or input beyond a size bound, 4 input
+not adequate, 5 realization failure, 141 stdout closed by its reader before
+all output was written (as in `qpoints graph 5 --long --json | head`): the
+command ends quietly, with the code a shell reports for a writer killed by
 SIGPIPE.
 
 main(argv) may be called repeatedly in one process: the argument parser is
@@ -337,6 +337,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull after a failed write, so that the final
+    flush at interpreter exit has nowhere to fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -348,19 +356,16 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so that the final
-        # flush at interpreter exit has nowhere to fail
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader is gone
+        _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
     except (json.JSONDecodeError, MatrixFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
-        if exc.filename is None:  # not a file the command reads or writes
-            raise
+        if exc.filename is None:  # stdout is the one file a command writes unnamed
+            _stdout_to_devnull()
+            exc.filename = "stdout"
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetError as exc:

@@ -1,4 +1,5 @@
-"""Reference matrices and collections used across tests, docs and the CLI.
+"""Reference matrices and collections for the tests, perfbench/tests and
+the README quick start; no command imports them.
 
 These are the standing examples of the theory at small dimension: the
 four-variable matrix whose point variety consists of two planes and a line,

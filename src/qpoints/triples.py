@@ -7,8 +7,9 @@ the planes contained in a point variety and the planes excluded from one.
 
 A triple set of ambient dimension n is one integer bitmask: bit i stands
 for all_triples(n)[i], the lexicographic order.  The coordinate permutations
-act on masks through per-chunk lookup tables, so the images of a set under
-every permutation are a few array gathers.
+act on masks through per-chunk lookup tables of at most 8 bits a chunk, so
+the images of a set under every permutation are a few array gathers; the
+tables take 0.92 MB (int32) at n = 5 and 25.8 MB (int64) at n = 6.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ Triple = tuple[int, int, int]
 #: Highest bit a mask built by TripleSet.of may set: 2^27 bits is a 16 MiB
 #: integer, every triple up to n = 930.  Higher triples are refused.
 _MAX_MASK_BITS = 1 << 27
-
-#: Byte cap on the permutation lookup tables of one dimension.
-_TABLE_BYTES = 32 << 20
 
 #: Maps the digits of bin(mask) to the bytes 0 and 1.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -83,26 +81,29 @@ def permutations(n: int) -> tuple[tuple[int, ...], ...]:
 def _perm_mask_tables(n: int) -> tuple[np.ndarray, ...]:
     """Per-chunk lookup tables of the permutation action on masks.
 
-    The C(n+1, 3) triple bits are cut into the fewest chunks of one width w
-    whose tables fit in _TABLE_BYTES: one chunk for n <= 4, two of 10 bits
-    for n = 5, five of 7 bits for n = 6.  tables[c][v, p] is the image under
-    permutations(n)[p] of the mask v << (c * w), and the image of a mask is
-    the OR of its chunks' images.  The tables are read-only.
+    The C(n+1, 3) triple bits are cut into the fewest chunks of at most 8
+    bits, all of one width w but the last, which may be narrower: 5 + 5
+    bits at n = 4, 7 + 7 + 6 at n = 5, five of 7 at n = 6.  tables[c][v, p]
+    is the image under permutations(n)[p] of the mask v << (c * w), and the
+    image of a mask is the OR of its chunks' images.  The entries are int32
+    while a mask fits, n <= 5 (0.92 MB at n = 5), and int64 at n = 6
+    (25.8 MB).  The tables are read-only.
     """
-    if n > 6:  # even 1-bit chunks overflow the cap: 36 MB at n = 7
-        raise ValueError(f"permutation tables exceed {_TABLE_BYTES >> 20} MiB beyond n = 6, got {n}")
+    if n > 6:  # 578 MB of tables at n = 7
+        raise ValueError(f"permutation tables are built for n <= 6, got {n}")
     nt, nperm = num_triples(n), factorial(n + 1)
-    chunks = next(k for k in itertools.count(1) if k * nperm * 8 << -(-nt // k) <= _TABLE_BYTES)
+    chunks = max(1, -(-nt // 8))
     w = max(1, -(-nt // chunks))
+    dtype = np.int32 if nt < 32 else np.int64
     # image triple index of every (triple, permutation), via an index cube
     cube = np.zeros((n + 1,) * 3, dtype=np.int64)
     trips = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3)
     cube[tuple(trips.T)] = np.arange(nt)
     images = np.sort(np.array(permutations(n)).T[trips], axis=1)
-    bit_images = np.left_shift(1, cube[images[:, 0], images[:, 1], images[:, 2]])
+    bit_images = np.left_shift(1, cube[images[:, 0], images[:, 1], images[:, 2]]).astype(dtype)
     tables = []
     for start in range(0, max(nt, 1), w):
-        table = np.zeros((1 << min(w, nt - start), nperm), dtype=np.int64)
+        table = np.zeros((1 << min(w, nt - start), nperm), dtype=dtype)
         for b in range(len(table).bit_length() - 1):
             np.bitwise_or(table[:1 << b], bit_images[start + b], out=table[1 << b:2 << b])
         table.flags.writeable = False

@@ -580,6 +580,23 @@ class TestBrokenPipe:
         assert stderr == b""
 
 
+class TestFailedStdout:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_stdout_exits_2_naming_stdout(self):
+        # the flush at interpreter exit must not fail a second time
+        src = Path(qpoints.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qpoints.cli", "enumerate", "3", "--adequate"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (2, b"error: stdout: No space left on device\n")
+
+
 class TestOut:
     @pytest.mark.parametrize(
         "argv, summary",
@@ -656,6 +673,12 @@ class TestRealize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("n, classes", [(3, 4), (4, 16), (5, 175)])
+    def test_class_index_ranges_over_the_catalog(self, capsys, n, classes):
+        # the range is the catalog's classes, not 0..N-1
+        assert main(["realize", "--class", str(n), str(classes)]) == 2
+        assert capsys.readouterr() == ("", f"error: class index must be 0..{classes - 1} or 'all'\n")
 
     @pytest.mark.parametrize("n, index", [("+5", "0"), (" 5", "0"), ("5", "+0"), ("5", " 0")])
     def test_class_reads_integers_as_int_arguments_do(self, capsys, n, index):

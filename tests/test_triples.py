@@ -134,10 +134,12 @@ class TestCanonicalization:
             assert canonical_masks(n, array).tolist() == single
 
     def test_table_sizes(self):
-        assert [t.shape for t in _perm_mask_tables(4)] == [(1024, 120)]
-        assert sum(t.nbytes for t in _perm_mask_tables(5)) == 11796480
+        # the fewest chunks of at most 8 bits, in the narrowest mask type
+        assert [t.shape for t in _perm_mask_tables(4)] == [(32, 120)] * 2
+        assert [t.shape for t in _perm_mask_tables(5)] == [(128, 720), (128, 720), (64, 720)]
         assert [t.shape for t in _perm_mask_tables(6)] == [(128, 5040)] * 5
-        assert sum(t.nbytes for t in _perm_mask_tables(6)) <= 32 << 20
+        for n in range(7):
+            assert {t.dtype for t in _perm_mask_tables(n)} == {np.dtype(np.int32 if n <= 5 else np.int64)}
 
     def test_n7_refused_before_building(self):
         start = time.perf_counter()
