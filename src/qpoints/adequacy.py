@@ -13,6 +13,7 @@ a sweep of all 2^C(n+1,3) collection masks, is the reference for n <= 5.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -20,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from .lattice import traverse
-from .triples import TripleSet, canonical_mask_orbit, num_triples, quartet_masks
+from .triples import TripleSet, canonical_mask_orbit, num_triples, quartet_masks, triple_rank
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -41,11 +42,20 @@ def is_adequate(C: Collection) -> bool:
     return all(link[j][k] | link[j][l] | link[k][l] == full for j, k, l in C)
 
 
+@lru_cache(maxsize=None)
+def _line_masks(n: int) -> tuple[int, ...]:
+    """One mask per pair of {0..n}, lexicographically: the triples that
+    contain the pair.  Every pair has an entry, so at n = 1 the one line
+    has the empty mask."""
+    return tuple(
+        sum(1 << triple_rank(tuple(sorted((a, b, c))), n) for c in range(n + 1) if c != a and c != b)
+        for a, b in itertools.combinations(range(n + 1), 2)
+    )
+
+
 def is_dense(C: Collection) -> bool:
-    """Whether some coordinate line lies in at least n - 2 members of C,
-    i.e. its link holds at least n indices (the line's own two included)."""
-    link = C.links()
-    return any(link[a][b].bit_count() >= C.n for a in range(C.n + 1) for b in range(a))
+    """Whether some coordinate line lies in at least n - 2 members of C."""
+    return any((C.mask & m).bit_count() >= C.n - 2 for m in _line_masks(C.n))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ generator names are sequential).  enumerate, graph and realize write their
 body to stdout or, with --out F, to the file F and its manifest
 F.manifest.json; their summary line always goes to stdout.  Exit codes:
 0 ok, 2 parse/usage or a file, stdout included, that cannot be read or
-written, 3 input invariant violation or input beyond a size bound, 4 input
-not adequate, 5 realization failure, 141 stdout closed by its reader before
-all output was written (as in `qpoints graph 5 --long --json | head`): the
-command ends quietly, with the code a shell reports for a writer killed by
-SIGPIPE.
+written, 3 input invariant violation or input beyond a size bound (for
+pts: n above variety.VARIETY_MAX_N = 200, or more than
+variety.COMPONENTS_LIMIT = 100 000 components), 4 input not adequate, 5
+realization failure, 141 stdout closed by its reader before all output was
+written (as in `qpoints graph 5 --long --json | head`): the command ends
+quietly, with the code a shell reports for a writer killed by SIGPIPE.
 
 main(argv) may be called repeatedly in one process: the argument parser is
 built on the first call and never changed after, so each call answers as it
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import platform
@@ -56,6 +56,8 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL, which no other step needs
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -48,6 +48,24 @@ class Configuration:
         return self.components == (tuple(range(self.n + 1)),)
 
 
+#: Largest n that good_triples and components accept.  The boundary table
+#: of C(n+1, 3) triples sets the cost: an all-ones matrix takes about 1 s
+#: and 85 MB at n = 100, and 8 s and 480 MB at n = 200 (its JSON output
+#: included), growing as n^3.
+VARIETY_MAX_N = 200
+
+#: Most components that components lists.  Their number can grow
+#: exponentially in n: coordinates in parts of three, with q_ij = 1 across
+#: parts and a fresh generator inside a part, have the 3^parts transversals
+#: among their components.
+COMPONENTS_LIMIT = 100_000
+
+
+def _check_size(n: int) -> None:
+    if n > VARIETY_MAX_N:
+        raise ValueError(f"point varieties are computed for n <= {VARIETY_MAX_N}, got n = {n}")
+
+
 #: Entries per array in one numpy step of good_triples; caps its scratch
 #: memory at a few such arrays whatever n and the number of generators.
 _STEP_ENTRIES = 1 << 18
@@ -66,8 +84,10 @@ def good_triples(Q: QMatrix) -> TripleSet:
     int64 run the same code on Python integers (dtype object).  Generators
     are taken in column blocks scattered from the nonzero entries and
     triples in lexicographic chunks, so no array holds more than about
-    _STEP_ENTRIES entries.
+    _STEP_ENTRIES entries.  Raises ValueError above VARIETY_MAX_N, before
+    any table is built.
     """
+    _check_size(Q.n)
     n, modulus = Q.n, Q.table.torsion_modulus
     rows, cols, vals = Q.rows, Q.cols, Q.vals
     ij, jk, ik = boundary_pairs(n)
@@ -109,14 +129,22 @@ def components(good: TripleSet) -> Configuration:
     Flats are grown depth first over bitmasks, as in Bron-Kerbosch without
     a pivot: R is the current flat, P the points still to try that extend
     it, X the points already tried, and R is maximal when both are empty.
-    The work follows the number of components, not the 2^(n+1) subsets.
-    The graph pivot rule fails here (a point can extend R + a and R + b but
-    not R + a + b), and any triple set is accepted, so the cocycle identity
-    of matrix good sets is not assumed.
+    The work follows the number of components, not the 2^(n+1) subsets,
+    and that number can grow exponentially: past COMPONENTS_LIMIT
+    components, and above VARIETY_MAX_N before the links are built, this
+    raises ValueError.  The graph pivot rule fails here (a point can extend
+    R + a and R + b but not R + a + b), and any triple set is accepted, so
+    the cocycle identity of matrix good sets is not assumed.
     """
+    _check_size(good.n)
     n = good.n
     link = good.links()  # a, b and every c for which the triple on {a, b, c} is good
     maximal: list[Flat] = []
+
+    def keep(flat: int) -> None:
+        if len(maximal) == COMPONENTS_LIMIT:
+            raise ValueError(f"the point variety has more than {COMPONENTS_LIMIT} components")
+        maximal.append(tuple(_bits(flat)))
 
     def grow(R: int, P: int, X: int, ext: dict[int, int]) -> None:
         # ext[v], for v in P | X: R, v and every p that makes each triple on
@@ -129,7 +157,7 @@ def components(good: TripleSet) -> Configuration:
             if not any(
                 all(F & ~link[a][x] == 0 for a in _bits(F)) for x in _bits(X)
             ):
-                maximal.append(tuple(_bits(F)))
+                keep(F)
             return
         for v in cand:
             P_v, X_v = P & ext[v] & ~(1 << v), X & ext[v]
@@ -137,7 +165,7 @@ def components(good: TripleSet) -> Configuration:
                 ext_v = {w: ext[w] & link[v][w] for w in _bits(P_v | X_v)}
                 grow(R | 1 << v, P_v, X_v, ext_v)
             elif not X_v:
-                maximal.append(tuple(_bits(R | 1 << v)))
+                keep(R | 1 << v)
             P, X = P & ~(1 << v), X | 1 << v
 
     grow(0, (1 << (n + 1)) - 1, 0, dict.fromkeys(range(n + 1), -1))

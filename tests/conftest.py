@@ -165,6 +165,27 @@ def non_dense_adequate(n: int) -> list[TripleSet]:
     ]
 
 
+def transversal_family(parts: int) -> dict:
+    """Matrix JSON on 3 * parts coordinates in parts of three: q_ij = 1
+    across parts and a fresh generator inside a part.  Its components are
+    the 3^parts transversals and the 3 * parts lines inside the parts."""
+    n = 3 * parts - 1
+    upper = {
+        f"{i},{j}": f"g{i}_{j}" if i // 3 == j // 3 else "1"
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    return {"n": n, "upper": upper}
+
+
+def links_is_dense(C: TripleSet) -> bool:
+    """Oracle for is_dense: some coordinate line lies in at least n - 2
+    members of C, i.e. its link holds at least n indices (the line's own
+    two included)."""
+    link = C.links()
+    return any(link[a][b].bit_count() >= C.n for a in range(C.n + 1) for b in range(a))
+
+
 def permute_triple(perm: tuple[int, ...], t: Triple) -> Triple:
     a, b, c = perm[t[0]], perm[t[1]], perm[t[2]]
     if a > b:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     apply_perm,
     canonical_masks,
+    links_is_dense,
     non_dense_adequate,
     random_qmatrix,
     random_structured_qmatrix,
@@ -88,6 +89,27 @@ class TestIsDense:
     def test_trivial_thresholds(self):
         assert is_dense(TripleSet.empty(2))
         assert is_dense(TripleSet.of(2, [(0, 1, 2)]))
+
+    def test_single_line_is_dense(self):
+        # n = 1: no triples, and the one line lies in 0 >= n - 2 members
+        assert is_dense(TripleSet.empty(1))
+        assert not is_dense(TripleSet.empty(0))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_agrees_with_links_on_the_catalog(self, n):
+        for rep in enumerate_adequate(n).representatives:
+            assert is_dense(rep) == links_is_dense(rep), rep
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_agrees_with_links_on_random_sets(self, n):
+        rng = random.Random(n)
+        nt = num_triples(n)
+        for _ in range(200):
+            # densities from sparse to full, so both answers occur
+            density = rng.random()
+            mask = sum(1 << t for t in range(nt) if rng.random() < density)
+            C = TripleSet(n, mask)
+            assert is_dense(C) == links_is_dense(C), C
 
 
 class TestSymmetryInvariance:

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qpoints
+from conftest import transversal_family
+from qpoints import variety
 from qpoints.cli import EXIT_BROKEN_PIPE, _build_parser, _json_text, main
 from qpoints.gallery import (
     all_ones_matrix,
@@ -96,6 +98,27 @@ class TestPts:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n": 1000000000, "upper": {}}))
         assert main(["pts", str(path)]) == 3
+
+    def test_beyond_size_bound_exits_3_naming_it(self, tmp_path, capsys):
+        # refused before the boundary table of C(n+1, 3) triples is built
+        n = variety.VARIETY_MAX_N + 1
+        upper = {f"{i},{j}": "1" for i in range(n + 1) for j in range(i + 1, n + 1)}
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"n": n, "upper": upper}))
+        assert main(["pts", str(path)]) == 3
+        assert f"n <= {variety.VARIETY_MAX_N}, got n = {n}" in capsys.readouterr().err
+
+    def test_components_beyond_limit_exit_3_naming_it(self, tmp_path, capsys, monkeypatch):
+        # five parts of three: 3^5 = 243 transversals and 15 lines
+        path = tmp_path / "parts.json"
+        path.write_text(json.dumps(transversal_family(5)))
+        monkeypatch.setattr(variety, "COMPONENTS_LIMIT", 258)
+        assert main(["pts", str(path), "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["components"]) == 258
+        monkeypatch.setattr(variety, "COMPONENTS_LIMIT", 257)
+        assert main(["pts", str(path), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "invalid input: the point variety has more than 257 components\n")
 
     def test_non_object_upper_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -580,6 +603,41 @@ class TestBrokenPipe:
         assert stderr == b""
 
 
+class TestStartupModules:
+    # hashlib maps OpenSSL (about 3.6 MB of RSS); only a manifest that
+    # hashes an input file needs it
+    SCRIPT = """
+import contextlib, io, json, sys
+loaded = lambda: sorted({"hashlib", "_hashlib"} & set(sys.modules))
+from qpoints.cli import main
+seen = [["import qpoints.cli", loaded()]]
+matrix, out = sys.argv[1:]
+for argv in (["pts", matrix], ["enumerate", "3", "--adequate"], ["graph", "3"],
+             ["realize", "--class", "3", "all"], ["enumerate", "3", "--adequate", "--out", out]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([" ".join(argv), code, loaded()])
+print(json.dumps(seen))
+"""
+
+    def test_no_hashlib_unless_an_input_is_hashed(self, tmp_path):
+        src = Path(qpoints.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        matrix = write_matrix(tmp_path, p3_two_planes_matrix())
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, matrix, str(tmp_path / "catalog.jsonl")],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (_, at_import), *runs = json.loads(proc.stdout)
+        assert at_import == []
+        assert len(runs) == 5
+        assert all(code == 0 and modules == [] for _, code, modules in runs), runs
+        assert (tmp_path / "catalog.jsonl.manifest.json").exists()
+
+
 class TestFailedStdout:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     def test_full_stdout_exits_2_naming_stdout(self):
@@ -627,6 +685,15 @@ class TestOut:
         assert main(["enumerate", "3", "--adequate", "--out", out]) == 0
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["command"] == "qpoints enumerate 3 --adequate --out " + shlex.quote(out)
+
+    def test_manifest_hashes_the_input(self, tmp_path, capsys):
+        path = write_collection(tmp_path, p3_two_planes_collection())
+        out = tmp_path / "matrix.json"
+        assert main(["realize", path, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "matrix.json.manifest.json").read_text())
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert manifest["inputs"] == [{"path": path, "sha256": digest}]
+        assert manifest["outputs"] == [str(out)]
 
     def test_realize_all_writes_one_line_per_class(self, tmp_path, capsys):
         out = tmp_path / "classes.txt"

@@ -1,10 +1,17 @@
 import itertools
+import json
 import random
 from math import comb
 
 import pytest
 
-from conftest import is_rank_one, monomial_variety_check, random_qmatrix, random_structured_qmatrix
+from conftest import (
+    is_rank_one,
+    monomial_variety_check,
+    random_qmatrix,
+    random_structured_qmatrix,
+    transversal_family,
+)
 from qpoints import variety
 from qpoints.gallery import (
     all_ones_matrix,
@@ -15,7 +22,7 @@ from qpoints.gallery import (
     sign_matrix,
     transversal_collection,
 )
-from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix
+from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix, qmatrix_from_json
 from qpoints.triples import TripleSet, all_triples
 from qpoints.variety import components, good_triples, ideal_generators
 
@@ -244,6 +251,27 @@ class TestComponents:
             )
             assert skeleton_weight(config) >= comb(n + 1, 2)
             assert (skeleton_weight(config) == comb(n + 1, 2)) == meet_in_points
+
+
+class TestSizeBounds:
+    def test_good_triples_refuses_n_beyond_the_bound(self):
+        n = variety.VARIETY_MAX_N + 1
+        with pytest.raises(ValueError, match=f"n <= {variety.VARIETY_MAX_N}, got n = {n}"):
+            good_triples(QMatrix.ones(n))
+
+    def test_components_refuses_n_beyond_the_bound(self):
+        n = variety.VARIETY_MAX_N + 1
+        with pytest.raises(ValueError, match=f"n <= {variety.VARIETY_MAX_N}"):
+            components(TripleSet.empty(n))
+
+    @pytest.mark.parametrize("parts", [3, 4, 5])
+    def test_transversal_family_components(self, parts):
+        # from three parts on, the transversals are planes or larger
+        config = components(good_triples(qmatrix_from_json(json.dumps(transversal_family(parts)))))
+        transversals = [c for c in config.components if len(c) == parts]
+        assert len(transversals) == 3 ** parts
+        assert all(len({i // 3 for i in c}) == parts for c in transversals)
+        assert len(config.components) == 3 ** parts + 3 * parts
 
 
 class TestIdealGenerators:
