@@ -13,15 +13,14 @@ a sweep of all 2^C(n+1,3) collection masks, is the reference for n <= 5.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .lattice import traverse
-from .triples import TripleSet, canonical_mask_orbit, num_triples, quartet_masks, triple_rank
+from .lattice import boundary_pairs, num_pairs, traverse
+from .triples import TripleSet, canonical_mask_orbit, num_triples, quartet_masks
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -44,13 +43,15 @@ def is_adequate(C: Collection) -> bool:
 
 @lru_cache(maxsize=None)
 def _line_masks(n: int) -> tuple[int, ...]:
-    """One mask per pair of {0..n}, lexicographically: the triples that
-    contain the pair.  Every pair has an entry, so at n = 1 the one line
+    """One mask per pair of {0..n}, in the order of lattice.pair_list: the
+    triples that contain the pair, bit b set in the masks of the three
+    pairs of triple b.  Every pair has an entry, so at n = 1 the one line
     has the empty mask."""
-    return tuple(
-        sum(1 << triple_rank(tuple(sorted((a, b, c))), n) for c in range(n + 1) if c != a and c != b)
-        for a, b in itertools.combinations(range(n + 1), 2)
-    )
+    masks = [0] * num_pairs(n)
+    for b, pairs in enumerate(zip(*boundary_pairs(n))):
+        for p in pairs:
+            masks[p] |= 1 << b
+    return tuple(masks)
 
 
 def is_dense(C: Collection) -> bool:
@@ -65,13 +66,8 @@ class OrbitCatalog:
     n: int
     representatives: tuple[Collection, ...]
     orbit_sizes: tuple[int, ...]
-    total: int
 
     def __post_init__(self) -> None:
-        if sum(self.orbit_sizes) != self.total:
-            raise ValueError(
-                f"orbit sizes sum to {sum(self.orbit_sizes)}, not the total {self.total}"
-            )
         order = factorial(self.n + 1)
         bad = [s for s in self.orbit_sizes if order % s]
         if bad:
@@ -79,6 +75,11 @@ class OrbitCatalog:
 
     def __len__(self) -> int:
         return len(self.representatives)
+
+    @property
+    def total(self) -> int:
+        """Number of adequate collections, all orbits together."""
+        return sum(self.orbit_sizes)
 
     def records(self) -> list[dict]:
         """JSON-ready rows: canonical triples, orbit size, dense flag."""
@@ -137,5 +138,4 @@ def enumerate_adequate(n: int) -> OrbitCatalog:
     classes = traverse(n)[0]  # first: its size rule guards the 1 << nt below
     full = (1 << num_triples(n)) - 1
     orbits = sorted(canonical_mask_orbit(n, full ^ m) for m in classes)
-    sizes = tuple(size for _, size in orbits)
-    return OrbitCatalog(n, tuple(TripleSet(n, c) for c, _ in orbits), sizes, sum(sizes))
+    return OrbitCatalog(n, tuple(TripleSet(n, c) for c, _ in orbits), tuple(size for _, size in orbits))

@@ -4,14 +4,18 @@ Subcommands: pts, enumerate, graph, realize, sinks, forced.  All commands
 are deterministic; identical inputs produce byte-identical outputs (fresh
 generator names are sequential).  enumerate, graph and realize write their
 body to stdout or, with --out F, to the file F and its manifest
-F.manifest.json; their summary line always goes to stdout.  Exit codes:
-0 ok, 2 parse/usage or a file, stdout included, that cannot be read or
-written, 3 input invariant violation or input beyond a size bound (for
-pts: n above variety.VARIETY_MAX_N = 200, or more than
-variety.COMPONENTS_LIMIT = 100 000 components), 4 input not adequate, 5
-realization failure, 141 stdout closed by its reader before all output was
-written (as in `qpoints graph 5 --long --json | head`): the command ends
-quietly, with the code a shell reports for a writer killed by SIGPIPE.
+F.manifest.json; their summary line always goes to stdout.  Node
+enumeration at N = 5 (enumerate --nodes, graph, sinks) needs --long, a
+rule of this module alone: the library functions take n alone, and
+enumerate --adequate and realize --class never need it.  Exit codes: 0 ok,
+2 parse/usage, --long missing, or a file, stdout included, that cannot be
+read or written, 3 input invariant violation or input beyond a size bound
+(for pts: n above variety.VARIETY_MAX_N = 200, checked before the matrix
+entries are read, or more than variety.COMPONENTS_LIMIT = 100 000
+components), 4 input not adequate, 5 realization failure, 141 stdout
+closed by its reader before all output was written (as in
+`qpoints graph 5 --long --json | head`): the command ends quietly, with
+the code a shell reports for a writer killed by SIGPIPE.
 
 main(argv) may be called repeatedly in one process: the argument parser is
 built on the first call and never changed after, so each call answers as it
@@ -34,7 +38,6 @@ from pathlib import Path
 from . import __version__
 from .adequacy import enumerate_adequate
 from .degeneration import (
-    BudgetError,
     build_graph,
     enumerate_nodes,
     graph_json_dict,
@@ -43,9 +46,9 @@ from .degeneration import (
     to_dot,
 )
 from .realize import NotAdequateError, forced_solutions, realize, realize_all
-from .scalars import MatrixFormatError, ScalarError, _json_int, qmatrix_from_json
+from .scalars import MatrixFormatError, ScalarError, _json_int, _matrix_json, qmatrix_from_json_dict
 from .triples import TripleSet
-from .variety import components, good_triples, ideal_generators
+from .variety import _check_size, components, good_triples, ideal_generators
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -129,10 +132,6 @@ def _read_text(path: str) -> str:
         raise MatrixFormatError(f"{path}: {exc}") from None
 
 
-def _load_matrix(path: str):
-    return qmatrix_from_json(_read_text(path))
-
-
 def _load_collection(path: str) -> TripleSet:
     data = json.loads(_read_text(path))
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
@@ -155,7 +154,12 @@ def _fmt_triple(t) -> str:
 
 
 def cmd_pts(args) -> int:
-    Q = _load_matrix(args.matrix)
+    data = _matrix_json(_read_text(args.matrix))
+    # the size bound before the reader expands upper into exponent rows; an
+    # n that is not a JSON integer is left for the reader to name
+    if type(data.get("n")) is int:
+        _check_size(data["n"])
+    Q = qmatrix_from_json_dict(data)
     good = good_triples(Q)
     config = components(good)
     gens = ideal_generators(good)
@@ -180,7 +184,7 @@ def cmd_pts(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.nodes:
-        nodes = enumerate_nodes(args.n, long=args.long)
+        nodes = enumerate_nodes(args.n)
         lines = [json.dumps(rec, sort_keys=True) for rec in node_records(nodes)]
         summary = f"nodes={len(nodes)}"
     else:
@@ -193,7 +197,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = build_graph(args.n, long=args.long)
+    graph = build_graph(args.n)
     body = _json_text(graph_json_dict(graph)) + "\n" if args.json else to_dot(graph)
     _emit(body, args)
     print(f"nodes={len(graph.nodes)} arrows={len(graph.arrows)}")
@@ -249,7 +253,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_sinks(args) -> int:
-    found = sinks(args.n, long=args.long)
+    found = sinks(args.n)
     print(f"sinks={len(found)}")
     for node in found:
         planes = " ".join(_fmt_triple(t) for t in node.closed_set)
@@ -354,6 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv  # the command line that --out manifests record
     if args.command == "realize" and (args.cls is None) == (not args.collection):
         parser.error("realize needs a collection file or --class N INDEX, not both")
+    nodes = args.command in ("graph", "sinks") or (args.command == "enumerate" and args.nodes)
+    if nodes and args.n == 5 and not args.long:
+        print("error: n = 5 node enumeration requires the long flag (use --long)", file=sys.stderr)
+        return EXIT_PARSE
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -369,9 +377,6 @@ def main(argv: list[str] | None = None) -> int:
             _stdout_to_devnull()
             exc.filename = "stdout"
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetError as exc:
-        print(f"error: {exc} (use --long)", file=sys.stderr)
         return EXIT_PARSE
     except (ScalarError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

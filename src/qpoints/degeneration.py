@@ -25,10 +25,6 @@ from .triples import TripleSet, canonical_mask_orbit
 from .variety import components
 
 
-class BudgetError(ValueError):
-    """A long-running enumeration was requested without the long flag."""
-
-
 @dataclass(frozen=True)
 class DegNode:
     """One symmetry class of closed triple sets."""
@@ -108,12 +104,9 @@ def _nodes_cached(n: int) -> tuple[tuple[DegNode, ...], frozenset[tuple[int, int
     return tuple(nodes), frozenset((index[a], index[b]) for a, b in steps)
 
 
-def enumerate_nodes(n: int, long: bool = False) -> tuple[DegNode, ...]:
+def enumerate_nodes(n: int) -> tuple[DegNode, ...]:
     """All degeneration-graph nodes of dimension n, sorted by (label,
-    canonical closed set).  n = 5 takes a fraction of a second but must
-    still be requested with long=True."""
-    if n == 5 and not long:
-        raise BudgetError("n = 5 node enumeration requires the long flag")
+    canonical closed set); lattice.traverse refuses n > 5."""
     return _nodes_cached(n)[0]
 
 
@@ -142,21 +135,21 @@ def transitive_reduction(
     return arrows
 
 
-def build_graph(n: int, long: bool = False) -> DegGraph:
+def build_graph(n: int) -> DegGraph:
     """Degeneration graph: closed-set classes with arrows for the covers of
     strict inclusion up to symmetry, read off the traversal's one-step
     inclusions."""
-    nodes = enumerate_nodes(n, long=long)
+    nodes = enumerate_nodes(n)
     sizes = [len(node.closed_set) for node in nodes]
     arrows = sorted(transitive_reduction(sizes, _nodes_cached(n)[1]))
     return DegGraph(n, nodes, tuple(arrows))
 
 
-def sinks(n: int, long: bool = False) -> list[DegNode]:
+def sinks(n: int) -> list[DegNode]:
     """Maximal degenerations: nodes whose sub-torus has the minimal
     dimension n, i.e. label 0.  For n <= 4 this is also the unique node
     with no outgoing arrow."""
-    return [node for node in enumerate_nodes(n, long=long) if node.label == 0]
+    return [node for node in enumerate_nodes(n) if node.label == 0]
 
 
 def to_dot(graph: DegGraph) -> str:

@@ -35,16 +35,16 @@ def p3_two_planes_collection() -> TripleSet:
     return TripleSet.of(3, [(0, 1, 3), (0, 2, 3)])
 
 
-def block_matrix(gen: str = "x") -> QMatrix:
+def block_matrix() -> QMatrix:
     """Six-variable matrix with blocks of ones and one generic value.
 
-    Entry q_ij equals `gen` when i is in {0, 1} and j in {4, 5}, and 1
-    otherwise.  Its point variety is the union of the three coordinate
-    3-spaces P(0,1,2,3), P(0,1,4,5) and P(2,3,4,5); the excluded planes are
-    exactly the transversal collection below.
+    Entry q_ij equals the generator x when i is in {0, 1} and j in
+    {4, 5}, and 1 otherwise.  Its point variety is the union of the three
+    coordinate 3-spaces P(0,1,2,3), P(0,1,4,5) and P(2,3,4,5); the excluded
+    planes are exactly the transversal collection below.
     """
-    table = GeneratorTable((gen,), 2)
-    x = table.gen(gen)
+    table = GeneratorTable(("x",), 2)
+    x = table.gen("x")
     one = table.one()
     upper = {(i, j): x if i in (0, 1) and j in (4, 5) else one for i, j in pair_list(5)}
     return QMatrix(5, upper, table)

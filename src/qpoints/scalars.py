@@ -17,9 +17,8 @@ is asked for.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -30,14 +29,11 @@ from .triples import Triple, check_triple
 #: Reserved name for the distinguished root of unity in the string syntax.
 TORSION_NAME = "w"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-
-@lru_cache(maxsize=4096)
 def _is_generator_name(name: str) -> bool:
-    """Whether name may name a free generator; a matrix repeats its few
-    names many times, so each distinct name is matched once."""
-    return name != TORSION_NAME and _NAME_RE.match(name) is not None
+    """Whether name may name a free generator: an ASCII identifier, a
+    letter or _ followed by letters, digits and _, other than w."""
+    return name != TORSION_NAME and name.isascii() and name.isidentifier()
 
 
 class ScalarError(ValueError):
@@ -79,12 +75,12 @@ class GroupScalar:
         return cls((), 0, modulus)
 
     @classmethod
-    def generator(cls, name: str, modulus: int = 2, power: int = 1) -> "GroupScalar":
-        return cls(((name, power),), 0, modulus)
+    def generator(cls, name: str, modulus: int = 2) -> "GroupScalar":
+        return cls(((name, 1),), 0, modulus)
 
     @classmethod
-    def root_of_unity(cls, modulus: int = 2, power: int = 1) -> "GroupScalar":
-        return cls((), power, modulus)
+    def root_of_unity(cls, modulus: int = 2) -> "GroupScalar":
+        return cls((), 1, modulus)
 
     @classmethod
     def from_dict(
@@ -203,10 +199,10 @@ class GeneratorTable:
         names[c - 1], column 0 being the torsion phase."""
         return {g: c for c, g in enumerate(self.names, 1)}
 
-    def gen(self, name: str, power: int = 1) -> GroupScalar:
+    def gen(self, name: str) -> GroupScalar:
         if name not in self._columns:
             raise ScalarError(f"unknown generator {name!r}")
-        return GroupScalar.generator(name, self.torsion_modulus, power)
+        return GroupScalar.generator(name, self.torsion_modulus)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -440,11 +436,16 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
     return QMatrix._of_entries(n, GeneratorTable(tuple(names), modulus), entries)
 
 
-def qmatrix_from_json(text: str) -> QMatrix:
+def _matrix_json(text: str) -> dict:
+    """The decoded JSON object of a matrix file, its fields not yet read."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MatrixFormatError("matrix JSON must be an object")
-    return qmatrix_from_json_dict(data)
+    return data
+
+
+def qmatrix_from_json(text: str) -> QMatrix:
+    return qmatrix_from_json_dict(_matrix_json(text))

@@ -140,7 +140,7 @@ def test_criterion_4_degeneration_graphs():
 
 def test_criterion_5_endpoints_and_forced_values():
     ok = len(sinks(3)) == 1 and len(sinks(4)) == 1
-    s5 = sinks(5, long=True)
+    s5 = sinks(5)
     masks = {node.closed_set.mask for node in s5}
     ok = ok and len(s5) >= 2
     ok = ok and TripleSet.full(5).canonical().mask in masks

@@ -204,10 +204,8 @@ class TestEnumeration:
 
     def test_catalog_rejects_inconsistent_orbits(self):
         reps = (TripleSet.empty(3),)
-        with pytest.raises(ValueError, match="sum"):
-            OrbitCatalog(3, reps, (1,), 2)
         with pytest.raises(ValueError, match="divide"):
-            OrbitCatalog(3, reps, (5,), 5)
+            OrbitCatalog(3, reps, (5,))
 
 
 class TestNonDense:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qpoints
 from conftest import transversal_family
-from qpoints import variety
+from qpoints import scalars, variety
 from qpoints.cli import EXIT_BROKEN_PIPE, _build_parser, _json_text, main
 from qpoints.gallery import (
     all_ones_matrix,
@@ -107,6 +107,20 @@ class TestPts:
         path.write_text(json.dumps({"n": n, "upper": upper}))
         assert main(["pts", str(path)]) == 3
         assert f"n <= {variety.VARIETY_MAX_N}, got n = {n}" in capsys.readouterr().err
+
+    def test_beyond_size_bound_refused_before_rows_are_built(self, tmp_path, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the matrix entries were read")
+
+        n = variety.VARIETY_MAX_N + 1
+        upper = {f"{i},{j}": "1" for i in range(n + 1) for j in range(i + 1, n + 1)}
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"n": n, "upper": upper}))
+        monkeypatch.setattr(scalars, "_parse_terms", unbuilt)
+        monkeypatch.setattr(scalars.QMatrix, "_of_entries", classmethod(unbuilt))
+        assert main(["pts", str(path)]) == 3
+        bound = f"invalid input: point varieties are computed for n <= {variety.VARIETY_MAX_N}, got n = {n}\n"
+        assert capsys.readouterr() == ("", bound)
 
     def test_components_beyond_limit_exit_3_naming_it(self, tmp_path, capsys, monkeypatch):
         # five parts of three: 3^5 = 243 transversals and 15 lines
@@ -497,6 +511,21 @@ class TestNodesBeyondRange:
         err = capsys.readouterr().err
         assert "n <= 5" in err
         assert "use --long" not in err
+
+
+class TestNodesAtFiveNeedLong:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "5", "--nodes"],
+            ["graph", "5"],
+            ["graph", "5", "--json"],
+            ["sinks", "5"],
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: n = 5 node enumeration requires the long flag (use --long)\n")
 
 
 class TestNegativeN:

@@ -11,7 +11,6 @@ from conftest import per_extension_closed_reps_bfs, snf_diagonal
 from qpoints.adequacy import enumerate_adequate
 from qpoints.cli import main
 from qpoints.degeneration import (
-    BudgetError,
     DegNode,
     _closed_reps_bfs,
     build_graph,
@@ -197,12 +196,8 @@ class TestNodes:
             assert enumerate_nodes(n) == tuple(scan_closed_reps(n))
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            enumerate_nodes(5)
-        # beyond the supported range --long cannot help: a plain ValueError
-        with pytest.raises(ValueError, match="n <= 5") as excinfo:
-            enumerate_nodes(6, long=True)
-        assert not isinstance(excinfo.value, BudgetError)
+        with pytest.raises(ValueError, match="n <= 5"):
+            enumerate_nodes(6)
 
     def test_scan_rejects_inconsistent_orbit(self, monkeypatch):
         real = canonical_mask_orbit
@@ -233,7 +228,7 @@ class TestNodes:
         # realizable iff its complement is closed, so the complements of
         # the nodes are the catalog classes that realize, orbit for orbit
         for n in range(6):
-            nodes = enumerate_nodes(n, long=True)
+            nodes = enumerate_nodes(n)
             complements = {(node.closed_set.complement().canonical().mask, node.orbit_size) for node in nodes}
             catalog, results = enumerate_adequate(n), realize_all(n)
             realizable = {
@@ -275,7 +270,7 @@ class TestGraph:
 
     def test_arrows_match_all_pairs_inclusion(self):
         for n in (2, 3, 4, 5):
-            graph = build_graph(n, long=True)
+            graph = build_graph(n)
             assert set(graph.arrows) == all_pairs_arrows(graph.nodes)
 
     def test_unique_source_is_generic_node(self):
@@ -294,7 +289,7 @@ class TestSinks:
         assert sinks(3)[0].closed_set == TripleSet.full(3)
 
     def test_five_has_two_including_both_known(self):
-        found = sinks(5, long=True)
+        found = sinks(5)
         masks = {node.closed_set.mask for node in found}
         assert len(found) >= 2
         assert TripleSet.full(5).canonical().mask in masks
@@ -305,11 +300,11 @@ class TestSinks:
         # commutative one, so it keeps an outgoing inclusion arrow even
         # though its stratum already has the minimal dimension; endpoints
         # are therefore defined by label 0, not by missing arrows
-        graph = build_graph(5, long=True)
+        graph = build_graph(5)
         with_out = {u for (u, _) in graph.arrows}
         arrowless = [i for i in range(len(graph.nodes)) if i not in with_out]
         assert len(arrowless) == 1
-        assert len(sinks(5, long=True)) == 2
+        assert len(sinks(5)) == 2
         pent = pentagonal_good_set().canonical().mask
         pent_idx = next(
             i for i, node in enumerate(graph.nodes)

@@ -409,7 +409,7 @@ class TestQuotient:
 
     def test_free_rank_minus_n_is_node_label(self):
         for n in (2, 3, 4, 5):
-            for node in enumerate_nodes(n, long=True):
+            for node in enumerate_nodes(n):
                 free = span(node.closed_set).quotient().free
                 assert len(free) - n == node.label
 

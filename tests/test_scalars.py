@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ from qpoints.scalars import (
     QMatrix,
     ScalarError,
     TableMismatchError,
+    _is_generator_name,
     parse_scalar,
     qmatrix_from_json,
 )
@@ -83,6 +85,17 @@ class TestGroupScalar:
             GroupScalar.from_dict({"w": 1})
         with pytest.raises(ScalarError):
             parse_scalar("3a*b")
+
+    def test_name_rule_matches_the_name_syntax(self):
+        # every string of up to three characters over letters, _, digits,
+        # the reserved w, whitespace, a sign and non-ASCII letters and
+        # digits that str.isidentifier alone would take
+        syntax = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+        alphabet = "aZ_09w\n -\u00e9\u0663\u2168"
+        names = ["".join(p) for k in range(4) for p in itertools.product(alphabet, repeat=k)]
+        assert len(names) == 1885
+        wrong = [name for name in names if _is_generator_name(name) != (name != "w" and bool(syntax.match(name)))]
+        assert wrong == []
 
     @pytest.mark.parametrize("text", ["a^", "w^", "a^1_0", "a^\u0661", "a^--1", "a^+", "b*a^ "])
     def test_bad_exponents_rejected(self, text):

@@ -116,7 +116,8 @@ def test_sublattice_state_written_only_in_lattice():
 
 def pair_layouts(tree: ast.AST) -> list[int]:
     """Lines that lay out the pairs i < j on their own: a call of
-    triu_indices, or a range that starts one past a name, range(i + 1, ...)."""
+    triu_indices, a range that starts one past a name, range(i + 1, ...),
+    or combinations(..., 2)."""
     lines = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -130,7 +131,8 @@ def pair_layouts(tree: ast.AST) -> list[int]:
             and isinstance(args[0].left, ast.Name)
             and getattr(args[0].right, "value", None) == 1
         )
-        if name == "triu_indices" or (name == "range" and past_name):
+        pairs = name == "combinations" and len(args) > 1 and getattr(args[1], "value", None) == 2
+        if name == "triu_indices" or (name == "range" and past_name) or pairs:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -146,8 +148,11 @@ def test_pair_order_laid_out_only_in_lattice():
         for line in pair_layouts(ast.parse(path.read_text()))
     ]
     assert found == []
-    probe = "for j in range(i + 1, n + 1):\n    pass\nnp.triu_indices(n + 1, 1)\nrange(i + 1)\nrange(i + 2, n)\nrange(1 + i, n)"
-    assert pair_layouts(ast.parse(probe)) == [1, 3]
+    probe = (
+        "for j in range(i + 1, n + 1):\n    pass\nnp.triu_indices(n + 1, 1)\nrange(i + 1)\nrange(i + 2, n)\nrange(1 + i, n)\n"
+        "itertools.combinations(range(n + 1), 2)\ncombinations(range(n + 1), 3)"
+    )
+    assert pair_layouts(ast.parse(probe)) == [1, 3, 7]
 
 
 def test_torsion_limit_read_only_by_solution_family():
@@ -211,6 +216,16 @@ def test_traverse_is_a_function_of_n_alone():
     from qpoints.lattice import traverse
 
     assert list(inspect.signature(traverse).parameters) == ["n"]
+
+
+def test_traversal_callers_are_functions_of_n_alone():
+    # which n a command may run is the CLI's rule (--long at n = 5), and
+    # the size bound is traverse's, so the library functions over one
+    # dimension take no flag
+    from qpoints import build_graph, enumerate_adequate, enumerate_nodes, realize_all, sinks
+
+    for function in (enumerate_adequate, enumerate_nodes, build_graph, sinks, realize_all):
+        assert list(inspect.signature(function).parameters) == ["n"], function.__name__
 
 
 def test_traced_names_exist():
