@@ -11,7 +11,9 @@ quartet traversal that also lists the catalog: the nodes are the classes
 that the exact closure fixes (175 closures at n = 5), and the arrows
 reduce the one-step inclusions out of them, their targets closed.  This
 module builds only the graph; the character equations b_t = 1 of a node
-are solved in realize (SolutionFamily).
+are solved in realize (SolutionFamily).  From n = 8 a closed set can have
+no generic point, so a node's type vector can describe a configuration that
+no matrix has (test_realize.py's test_closed_complement_without_generic_point).
 """
 
 from __future__ import annotations

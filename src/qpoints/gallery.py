@@ -10,24 +10,20 @@ dense, and the matrices realizing them.
 from __future__ import annotations
 
 from .lattice import pair_list
-from .scalars import GeneratorTable, GroupScalar, QMatrix, parse_scalar
+from .scalars import GeneratorTable, QMatrix, qmatrix_from_json_dict
 from .triples import TripleSet
 
 
 def p3_two_planes_matrix() -> QMatrix:
     """Four-variable matrix with point variety P(0,1,2) u P(1,2,3) u P(0,3)
-    for generic values of a, b, c, x."""
-    table = GeneratorTable(("a", "b", "c", "x"), 2)
-    entries = {
-        (0, 1): "a",
-        (0, 2): "b",
-        (0, 3): "x",
-        (1, 2): "a^-1*b",
-        (1, 3): "c",
-        (2, 3): "a*b^-1*c",
-    }
-    upper = {p: parse_scalar(s, 2) for p, s in entries.items()}
-    return QMatrix(3, upper, table)
+    for generic values of a, b, c, x: the matrix file of the README."""
+    return qmatrix_from_json_dict({
+        "n": 3,
+        "torsion_modulus": 2,
+        "generators": ["a", "b", "c", "x"],
+        "upper": {"0,1": "a", "0,2": "b", "0,3": "x",
+                  "1,2": "a^-1*b", "1,3": "c", "2,3": "a*b^-1*c"},
+    })
 
 
 def p3_two_planes_collection() -> TripleSet:
@@ -43,11 +39,10 @@ def block_matrix() -> QMatrix:
     coordinate 3-spaces P(0,1,2,3), P(0,1,4,5) and P(2,3,4,5); the excluded
     planes are exactly the transversal collection below.
     """
-    table = GeneratorTable(("x",), 2)
-    x = table.gen("x")
-    one = table.one()
-    upper = {(i, j): x if i in (0, 1) and j in (4, 5) else one for i, j in pair_list(5)}
-    return QMatrix(5, upper, table)
+    entries = {
+        (i, j): ((("x", 1),) if i in (0, 1) and j in (4, 5) else (), 0) for i, j in pair_list(5)
+    }
+    return QMatrix(5, GeneratorTable(("x",), 2), entries)
 
 
 def transversal_collection() -> TripleSet:
@@ -62,8 +57,9 @@ def transversal_collection() -> TripleSet:
 def sign_matrix() -> QMatrix:
     """Six-variable matrix of signs realizing the pentagonal collection.
 
-    Row i of the sign grid below gives q_ij for j > i; the full matrix is
-    completed by symmetry (signs are their own inverses).
+    Row i of the sign grid below gives q_ij for j > i, -1 being the root of
+    unity w; the full matrix is completed by symmetry (signs are their own
+    inverses).
     """
     grid = [
         [1, -1, 1, 1, -1, 1],
@@ -73,12 +69,8 @@ def sign_matrix() -> QMatrix:
         [-1, 1, 1, -1, 1, 1],
         [1, 1, 1, 1, 1, 1],
     ]
-    table = GeneratorTable((), 2)
-    upper = {
-        (i, j): GroupScalar.root_of_unity(2) if grid[i][j] < 0 else table.one()
-        for i, j in pair_list(5)
-    }
-    return QMatrix(5, upper, table)
+    entries = {(i, j): ((), int(grid[i][j] < 0)) for i, j in pair_list(5)}
+    return QMatrix(5, GeneratorTable((), 2), entries)
 
 
 def pentagonal_good_set() -> TripleSet:

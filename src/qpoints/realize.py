@@ -5,11 +5,13 @@ whose point variety excludes exactly those planes.  The good-triple set of
 any matrix is closed under the integer span of its characters, so a
 collection is realizable only when its complement is closed; otherwise the
 planes the span forces back in are reported as the obstruction.  A closed
-complement is realized by its generic point: the character equations are
-solved over the exponent lattice, with fresh generators for the free
-directions and a torsion character chosen to keep every excluded plane
-obstructed.  Every result is verified exactly; a construction that misses
-its target is reported, never accepted.
+complement is realized by its generic point when it has one: the character
+equations are solved over the exponent lattice, with fresh generators for
+the free directions and a torsion character chosen to keep every excluded
+plane obstructed.  From n = 8 a closed complement can lack one, and
+realize reports that (exit 5 in the CLI; see test_realize.py's
+test_closed_complement_without_generic_point).  Every result is verified
+exactly; a construction that misses its target is reported, never accepted.
 
 One SolutionFamily solves b_t = 1, for the generic point and for the
 forced solutions of a good set under pinned parameters.  Both are built by
@@ -84,10 +86,11 @@ def realize(C: Collection) -> RealizationResult:
     The matrix is the generic point of the complement
     (generic_point_of_node), exactly verified there.  A complement that is
     not character-closed is reported as obstructed, naming the forced planes
-    (see generic_point_of_node); a closed set without a generic point is
-    reported with the reason.  Raises ValueError when n exceeds
-    SOLVER_MAX_N, checked first so that a huge n fails at once, and
-    NotAdequateError when C is not adequate.
+    (see generic_point_of_node); a closed set without a generic point, as
+    from n = 8 (test_closed_complement_without_generic_point), is reported
+    with the reason.  Raises ValueError when n exceeds SOLVER_MAX_N,
+    checked first so that a huge n fails at once, and NotAdequateError
+    when C is not adequate.
     """
     _check_solver_bound(C.n)
     if not is_adequate(C):
@@ -178,7 +181,7 @@ class SolutionFamily:
         # V is unimodular, so every free column is nonzero on some row and
         # the table is the sorted names of the nonzero exponents
         table = GeneratorTable(tuple(sorted(gens.values())), m if m > 1 else 2)
-        return QMatrix._of_entries(self.n, table, entries)
+        return QMatrix(self.n, table, entries)
 
     def solutions(self) -> list[dict[tuple[int, int], GroupScalar]]:
         """Explicit parameter assignments, when the solution set is finite
@@ -237,8 +240,10 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     component group is searched for a character that keeps every triple
     outside the closed set obstructed.  The result is verified exactly.  A
     set that is not closed raises NotClosedError, naming the triples
-    outside it that its character span forces in.  The family comes from
-    forced_solutions with no pins, so n is bounded by SOLVER_MAX_N.
+    outside it that its character span forces in; a closed set with no
+    such character, as from n = 8 (test_closed_complement_without_generic_point),
+    raises GenericPointError.  The family comes from forced_solutions with
+    no pins, so n is bounded by SOLVER_MAX_N.
     """
     n = closed.n
     family = forced_solutions(closed)

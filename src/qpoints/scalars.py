@@ -7,11 +7,12 @@ root of unity of order m ("torsion").  All equality questions the package
 ever asks reduce to identities in this group, so there is no floating point
 anywhere and "generic" simply means "uses a generator nobody else uses".
 
-A matrix is its exponent array, not a table of GroupScalar objects: the
-JSON reader and the solver write the integer exponent rows directly, and
-the good-triple pass reads them as they are.  GroupScalar is the type of
-the compact string syntax and of single entries, built only when an entry
-is asked for.
+A matrix is its exponent array, built by its one constructor,
+QMatrix(n, table, entries), from each entry's exponents and torsion phase:
+the JSON reader and the solver call it, and good_triples and the JSON
+writer read the rows.  GroupScalar is the parse and print type of one
+entry (parse_scalar, QMatrix.entry, the solutions `forced` prints).  No
+command reaches its arithmetic, kept while perfbench/tracer.py wraps it.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class GroupScalar:
         return cls((), 0, modulus)
 
     @classmethod
-    def generator(cls, name: str, modulus: int = 2) -> "GroupScalar":
-        return cls(((name, 1),), 0, modulus)
-
-    @classmethod
     def root_of_unity(cls, modulus: int = 2) -> "GroupScalar":
         return cls((), 1, modulus)
 
@@ -116,9 +113,6 @@ class GroupScalar:
         return GroupScalar(
             tuple((g, e * k) for g, e in self.exponents), self.torsion * k, self.modulus
         )
-
-    def __truediv__(self, other: "GroupScalar") -> "GroupScalar":
-        return self * other.inverse()
 
     def substitute(self, images: Mapping[str, "GroupScalar"]) -> "GroupScalar":
         """Apply the group homomorphism sending each named generator to its
@@ -190,19 +184,11 @@ class GeneratorTable:
                 raise ScalarError(f"bad generator name {g!r}")
         object.__setattr__(self, "names", names)
 
-    def one(self) -> GroupScalar:
-        return GroupScalar.one(self.torsion_modulus)
-
     @cached_property
     def _columns(self) -> dict[str, int]:
         """Column of each generator in a matrix's exponent rows: c for
         names[c - 1], column 0 being the torsion phase."""
         return {g: c for c, g in enumerate(self.names, 1)}
-
-    def gen(self, name: str) -> GroupScalar:
-        if name not in self._columns:
-            raise ScalarError(f"unknown generator {name!r}")
-        return GroupScalar.generator(name, self.torsion_modulus)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -219,6 +205,9 @@ class QMatrix:
     holds Python integers (dtype object) beyond int64.  The diagonal is 1
     and the lower triangle the inverses, by construction; the GroupScalar
     entries of upper, entry and b are built from the array when asked for.
+
+    QMatrix(n, table, entries), from exponent entries, is the one
+    constructor (see __post_init__).
     """
 
     n: int
@@ -227,47 +216,29 @@ class QMatrix:
     cols: np.ndarray
     vals: np.ndarray
 
-    def __init__(
-        self,
-        n: int,
-        upper: Mapping[tuple[int, int], GroupScalar],
-        table: GeneratorTable | None = None,
-    ) -> None:
-        """The matrix with the given upper triangle.  Without a table, it is
-        the sorted generator names of the entries and their common modulus."""
-        moduli = {s.modulus for s in upper.values()}
-        if table is None:
-            if len(moduli) > 1:
-                raise TableMismatchError("entries use different torsion moduli")
-            names = sorted({g for s in upper.values() for g in s.generators()})
-            table = GeneratorTable(tuple(names), moduli.pop() if moduli else 2)
-        elif moduli - {table.torsion_modulus}:
-            raise TableMismatchError("matrix entry not admitted by generator table")
-        self.__post_init__(n, table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
-
-    @classmethod
-    def _of_entries(cls, n: int, table: GeneratorTable, entries: Mapping) -> "QMatrix":
-        """The matrix of entries, as in __post_init__, without GroupScalars."""
-        Q = cls.__new__(cls)
-        Q.__post_init__(n, table, entries)
-        return Q
+    def __init__(self, n: int, table: GeneratorTable, entries: Mapping) -> None:
+        self.__post_init__(n, table, entries)
 
     def __post_init__(self, n: int, table: GeneratorTable, entries: Mapping) -> None:
-        """The step both constructors end in: fill the exponent rows from
-        entries[(i, j)] = (exponents, phase), the exponents as (name,
-        exponent) pairs, zeros allowed, and the phase reduced mod the
-        modulus.  The keys must be exactly the pairs i < j, and the table
-        must hold every name of a nonzero exponent."""
+        """The row builder that the one constructor, QMatrix(n, table,
+        entries), calls: fill the exponent rows from entries[(i, j)] =
+        (exponents, phase), the exponents as (name, exponent) pairs, zeros
+        allowed, and the phase an integer taken mod the modulus; a
+        GroupScalar q gives the entry (q.exponents, q.torsion).  The keys
+        must be exactly the pairs i < j and the table must hold every name
+        of a nonzero exponent; an entry must not name a generator twice,
+        which is not checked."""
         if n < 0:
             raise ScalarError("dimension index must be >= 0")
         # Counting first keeps a huge n from walking its pairs.
         if len(entries) != n * (n + 1) // 2:
             raise ScalarError("upper triangle must hold exactly the pairs i < j")
-        column = table._columns
+        column, modulus = table._columns, table.torsion_modulus
         found: list[tuple[int, int, int]] = []
         for p, pair in enumerate(pair_list(n)):
             try:
                 exps, phase = entries[pair]
+                phase %= modulus
                 if phase:
                     found.append((p, 0, phase))
                 found += [(p, column[g], e) for g, e in exps if e]
@@ -279,7 +250,7 @@ class QMatrix:
         rows, cols, vals = zip(*found) if found else ((), (), ())
         # the narrowest type holding +-3 times the largest entry, so a sum
         # of three rows is exact; object (Python integers) beyond int64
-        dtype = np.min_scalar_type(-3 * max([table.torsion_modulus, *map(abs, vals)]))
+        dtype = np.min_scalar_type(-3 * max([modulus, *map(abs, vals)]))
         for name, value in (
             ("n", n),
             ("table", table),
@@ -299,11 +270,10 @@ class QMatrix:
             and np.array_equal(self.vals, other.vals)
         )
 
-    @cached_property
-    def upper(self) -> dict[tuple[int, int], GroupScalar]:
-        """The upper triangle as {(i, j): q_ij}."""
-        names, modulus = self.table.names, self.table.torsion_modulus
-        pairs = pair_list(self.n)
+    def _entries(self) -> dict[tuple[int, int], tuple[list[tuple[str, int]], int]]:
+        """The constructor's entries, read back from the rows: each pair's
+        nonzero exponents in table order, and its phase."""
+        names, pairs = self.table.names, pair_list(self.n)
         exps: list[list[tuple[str, int]]] = [[] for _ in pairs]
         phase = [0] * len(pairs)
         for p, c, e in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
@@ -311,21 +281,24 @@ class QMatrix:
                 exps[p].append((names[c - 1], e))
             else:
                 phase[p] = e
-        return {
-            pair: GroupScalar(tuple(x), t, modulus) for pair, x, t in zip(pairs, exps, phase)
-        }
+        return {pair: (x, t) for pair, x, t in zip(pairs, exps, phase)}
+
+    @cached_property
+    def upper(self) -> dict[tuple[int, int], GroupScalar]:
+        """The upper triangle as {(i, j): q_ij}."""
+        modulus = self.table.torsion_modulus
+        return {pair: GroupScalar(tuple(x), t, modulus) for pair, (x, t) in self._entries().items()}
 
     @classmethod
     def ones(cls, n: int, modulus: int = 2) -> "QMatrix":
-        upper = dict.fromkeys(pair_list(n), GroupScalar.one(modulus))
-        return cls(n, upper, GeneratorTable((), modulus))
+        return cls(n, GeneratorTable((), modulus), dict.fromkeys(pair_list(n), ((), 0)))
 
     def entry(self, i: int, j: int) -> GroupScalar:
         """q_ij, completing the stored triangle by q_ii = 1, q_ji = q_ij^-1."""
         if not (0 <= i <= self.n and 0 <= j <= self.n):
             raise IndexError(f"index out of range for dimension {self.n}")
         if i == j:
-            return self.table.one()
+            return GroupScalar.one(self.table.torsion_modulus)
         if i < j:
             return self.upper[(i, j)]
         return self.upper[(j, i)].inverse()
@@ -341,13 +314,17 @@ class QMatrix:
         return self.entry(i, j) * self.entry(j, k) * self.entry(i, k).inverse()
 
     def substitute(self, images: Mapping[str, GroupScalar]) -> "QMatrix":
+        """The matrix with each named generator sent to its image; its table
+        is the sorted generator names of the new entries."""
         upper = {p: s.substitute(images) for p, s in self.upper.items()}
-        return QMatrix(self.n, upper)
+        names = sorted({g for s in upper.values() for g in s.generators()})
+        table = GeneratorTable(tuple(names), self.table.torsion_modulus)
+        return QMatrix(self.n, table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
 
     def conjugate(self, perm: tuple[int, ...]) -> "QMatrix":
         """Relabeled matrix R with R[i][j] = Q[perm(i)][perm(j)]."""
         upper = {(i, j): self.entry(perm[i], perm[j]) for i, j in pair_list(self.n)}
-        return QMatrix(self.n, upper, self.table)
+        return QMatrix(self.n, self.table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -355,11 +332,8 @@ class QMatrix:
             "torsion_modulus": self.table.torsion_modulus,
             "generators": list(self.table.names),
             "upper": {
-                f"{i},{j}": {
-                    "torsion": s.torsion,
-                    "exponents": {g: e for g, e in s.exponents},
-                }
-                for (i, j), s in sorted(self.upper.items())
+                f"{i},{j}": {"torsion": t, "exponents": dict(x)}
+                for (i, j), (x, t) in self._entries().items()
             },
         }
 
@@ -430,10 +404,10 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
                 raise MatrixFormatError(f"torsion of pair {key!r} must be an integer, got {phase!r}")
         else:
             raise MatrixFormatError(f"bad scalar for pair {key!r}: expected a string or an object")
-        entries[pair] = (exps.items(), phase % modulus)
+        entries[pair] = (exps.items(), phase)
     if not names:
         names = sorted({g for exps, _ in entries.values() for g, e in exps if e})
-    return QMatrix._of_entries(n, GeneratorTable(tuple(names), modulus), entries)
+    return QMatrix(n, GeneratorTable(tuple(names), modulus), entries)
 
 
 def _matrix_json(text: str) -> dict:

@@ -10,7 +10,7 @@ from qpoints.adequacy import _witness_masks, enumerate_adequate, is_dense
 from qpoints.degeneration import DegNode
 from qpoints.realize import generic_point_of_node
 from qpoints.lattice import SubLattice, _xgcd, closure, node_label, span
-from qpoints.scalars import GroupScalar, QMatrix, ScalarError
+from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix, ScalarError, TableMismatchError
 from qpoints.triples import (
     Triple,
     TripleSet,
@@ -31,6 +31,25 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 GEN_POOL = ["a", "b", "c", "d", "e", "f"]
 
 
+def qmatrix_of_scalars(
+    n: int,
+    upper: Mapping[tuple[int, int], GroupScalar],
+    table: GeneratorTable | None = None,
+) -> QMatrix:
+    """The matrix with the given upper triangle of GroupScalars.  Without a
+    table, it is the sorted generator names of the entries and their common
+    modulus."""
+    moduli = {s.modulus for s in upper.values()}
+    if table is None:
+        if len(moduli) > 1:
+            raise TableMismatchError("entries use different torsion moduli")
+        names = sorted({g for s in upper.values() for g in s.generators()})
+        table = GeneratorTable(tuple(names), moduli.pop() if moduli else 2)
+    elif moduli - {table.torsion_modulus}:
+        raise TableMismatchError("matrix entry not admitted by generator table")
+    return QMatrix(n, table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
+
+
 def random_qmatrix(rng: random.Random, n: int, torsion: bool = True) -> QMatrix:
     """Unstructured random symbolic matrix over a few named generators."""
     upper = {}
@@ -43,7 +62,7 @@ def random_qmatrix(rng: random.Random, n: int, torsion: bool = True) -> QMatrix:
                     exps[g] = e
             t = rng.randint(0, 1) if torsion else 0
             upper[(i, j)] = GroupScalar.from_dict(exps, t, 2)
-    return QMatrix(n, upper)
+    return qmatrix_of_scalars(n, upper)
 
 
 def random_structured_qmatrix(rng: random.Random, n: int) -> QMatrix:

@@ -117,7 +117,7 @@ class TestPts:
         path = tmp_path / "ones.json"
         path.write_text(json.dumps({"n": n, "upper": upper}))
         monkeypatch.setattr(scalars, "_parse_terms", unbuilt)
-        monkeypatch.setattr(scalars.QMatrix, "_of_entries", classmethod(unbuilt))
+        monkeypatch.setattr(scalars.QMatrix, "__init__", unbuilt)
         assert main(["pts", str(path)]) == 3
         bound = f"invalid input: point varieties are computed for n <= {variety.VARIETY_MAX_N}, got n = {n}\n"
         assert capsys.readouterr() == ("", bound)

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import apply_perm
-from qpoints.adequacy import is_dense
+from qpoints import gallery
+from qpoints.adequacy import is_adequate, is_dense
 from qpoints.cli import main
 from qpoints.lattice import closure, quartet_saturate
 from qpoints.gallery import (
@@ -17,6 +18,7 @@ from qpoints.gallery import (
     sign_matrix,
     transversal_collection,
 )
+from qpoints.scalars import GroupScalar
 from qpoints.realize import (
     NotAdequateError,
     generic_point_of_node,
@@ -37,6 +39,14 @@ OBSTRUCTED = TripleSet.of(
         (2, 3, 5),
     ],
 )
+
+# The 6-vertex RP^2, the torsion node at n = 5, and three relabelings of it
+# into nine coordinates: vertex v goes to entry v of each list.
+RP2 = [
+    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+    (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+]
+RP2_RELABELINGS = [[7, 1, 8, 5, 2, 3], [3, 7, 6, 2, 4, 0], [0, 1, 6, 5, 7, 8]]
 
 
 def beyond_catalog_draws(n: int) -> list[TripleSet]:
@@ -128,6 +138,39 @@ class TestRealize:
         assert not result.success and result.method == "generic-point"
         assert "component group too large to search" in result.detail
         assert "torsion characters exceed the listing limit of 0" in result.detail
+
+    def test_closed_complement_without_generic_point(self, tmp_path, capsys):
+        # the second obstruction, from n = 8: the closure K of the three
+        # RP^2 copies has torsion (Z/2)^2 in H_1, and the pure order-2 images
+        # of the excluded planes fall on all three of its nonzero elements,
+        # so no torsion character keeps every excluded plane obstructed
+        K = closure(TripleSet.of(8, [tuple(sorted(m[v] for v in t)) for m in RP2_RELABELINGS for t in RP2]))
+        C = K.complement()
+        assert (len(K), len(C)) == (29, 55)
+        assert is_adequate(C) and closure(C.complement()) == C.complement()
+        path = tmp_path / "second_obstruction.json"
+        path.write_text(json.dumps({"n": 8, "triples": [list(t) for t in C]}))
+        assert main(["realize", str(path)]) == 5
+        assert capsys.readouterr() == (
+            "",
+            "realization failed: no generic point: no torsion character separates "
+            "the closed set; 37 torsion-coset triples obstruct\n",
+        )
+
+    def test_matrix_path_builds_no_group_scalar(self, tmp_path, capsys, monkeypatch):
+        # matrices are built and written from exponent entries; only the
+        # solutions that forced prints are GroupScalars
+        built = []
+        post_init = GroupScalar.__post_init__
+        monkeypatch.setattr(GroupScalar, "__post_init__", lambda q: built.append(q) or post_init(q))
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 7, "triples": []}))
+        assert main(["realize", "--class", "5", "12"]) == main(["realize", str(path)]) == 0
+        gallery.p3_two_planes_matrix(), gallery.block_matrix(), gallery.sign_matrix()
+        assert built == []
+        path.write_text(json.dumps({"n": 5, "triples": [list(t) for t in pentagonal_good_set()]}))
+        assert main(["forced", str(path)]) == 0
+        assert len(built) == 30
 
     def test_obstructed_class_is_adequate_and_dense(self):
         from qpoints.adequacy import is_adequate

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import instantiate, prime_assignment, random_qmatrix, rational_b
+from conftest import instantiate, prime_assignment, qmatrix_of_scalars, random_qmatrix, rational_b
 from qpoints.gallery import all_ones_matrix, p3_two_planes_matrix, sign_matrix
 from qpoints.scalars import (
     GeneratorTable,
@@ -147,7 +147,22 @@ class TestQMatrix:
 
     def test_incomplete_upper_rejected(self):
         with pytest.raises(ScalarError):
-            QMatrix(2, {(0, 1): GroupScalar.one()})
+            qmatrix_of_scalars(2, {(0, 1): GroupScalar.one()})
+
+    def test_constructor_takes_phases_mod_the_modulus(self):
+        table = GeneratorTable(("a",), 3)
+        Q = QMatrix(1, table, {(0, 1): ((("a", 1),), -1)})
+        assert Q == QMatrix(1, table, {(0, 1): ((("a", 1),), 2)})
+        assert Q.entry(0, 1) == s("a*w^2", 3)
+
+    def test_str_prints_the_full_matrix(self):
+        # the diagonal is 1 and the lower triangle holds the inverses
+        assert str(p3_two_planes_matrix()) == "\n".join([
+            "1  a  b  x",
+            "a^-1  1  a^-1*b  c",
+            "b^-1  a*b^-1  1  a*b^-1*c",
+            "x^-1  c^-1  a^-1*b*c^-1  1",
+        ])
 
     def test_missing_table_generator_rejected(self):
         table = GeneratorTable(("a",), 2)
@@ -155,7 +170,7 @@ class TestQMatrix:
             (0, 1): s("a"), (0, 2): s("q"), (1, 2): s("a"),
         }
         with pytest.raises(TableMismatchError):
-            QMatrix(2, upper, table)
+            qmatrix_of_scalars(2, upper, table)
 
 
 class TestInstantiate:
@@ -192,7 +207,7 @@ class TestInstantiate:
     def test_large_torsion_rejected(self):
         table = GeneratorTable((), 3)
         upper = {(0, 1): GroupScalar.root_of_unity(3)}
-        Q = QMatrix(1, upper, table)
+        Q = qmatrix_of_scalars(1, upper, table)
         with pytest.raises(ScalarError):
             instantiate(Q, {})
 
@@ -268,7 +283,7 @@ class TestJson:
         from_strings = qmatrix_from_json(json.dumps({"n": 2, "upper": strings} | head))
         from_objects = qmatrix_from_json(json.dumps({"n": 2, "upper": objects} | head))
         modulus = head.get("torsion_modulus", 2)
-        from_scalars = QMatrix(
+        from_scalars = qmatrix_of_scalars(
             2,
             {tuple(map(int, k.split(","))): parse_scalar(v, modulus) for k, v in strings.items()},
             GeneratorTable(names, modulus),
@@ -282,6 +297,26 @@ class TestJson:
         assert qmatrix_from_json(from_strings.to_json()) == from_strings
         oracle = TripleSet.of(2, [t for t in all_triples(2) if from_strings.b(t).is_one])
         assert good_triples(from_strings) == good_triples(from_objects) == oracle
+
+    def test_writer_reads_the_rows(self, rng):
+        # to_json_dict writes each entry from the exponent rows; it agrees
+        # with entry(i, j) and reads back to the same matrix
+        draws = [random_qmatrix(rng, rng.randint(0, 5), torsion) for torsion in (True, False) for _ in range(20)]
+        unused = qmatrix_from_json(json.dumps(
+            {"n": 2, "generators": ["b", "a", "z"], "upper": {"0,1": "a", "0,2": "b^2*w", "1,2": "a^-1*b^2"}}
+        ))
+        big = qmatrix_from_json(json.dumps(
+            {"n": 2, "upper": {"0,1": f"a^{self.BIG}", "0,2": f"a^{self.BIG}*b^{-self.BIG - 1}", "1,2": "w"}}
+        ))
+        assert big.vals.dtype == object
+        for Q in [*draws, unused, big]:
+            data = Q.to_json_dict()
+            assert data["generators"] == list(Q.table.names)
+            assert list(data["upper"]) == [f"{i},{j}" for i, j in itertools.combinations(range(Q.n + 1), 2)]
+            for key, written in data["upper"].items():
+                q = Q.entry(*map(int, key.split(",")))
+                assert written == {"torsion": q.torsion, "exponents": dict(q.exponents)}
+            assert qmatrix_from_json(Q.to_json()) == Q
 
     @pytest.mark.parametrize("other", [" 0, 1", "0,+1", "00,1"])
     def test_keys_naming_one_pair_rejected(self, other):

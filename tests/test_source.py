@@ -72,6 +72,27 @@ def test_good_triples_reads_only_exponent_rows():
     assert found == []
 
 
+def test_one_matrix_constructor():
+    # QMatrix(n, table, entries) is the one way to build a matrix: nothing
+    # bypasses __init__, and the solver and the gallery write exponent
+    # entries, constructing no GroupScalar and parsing no scalar string
+    package = Path(qpoints.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owner = getattr(getattr(func, "value", None), "id", None)
+            if name in ("_of_entries", "__new__") or (
+                path.name in ("gallery.py", "realize.py")
+                and (name in ("GroupScalar", "parse_scalar") or owner == "GroupScalar")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 LATTICE_STATE = {"rows", "pivots", "supports"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     is_rank_one,
     monomial_variety_check,
+    qmatrix_of_scalars,
     random_qmatrix,
     random_structured_qmatrix,
     transversal_family,
@@ -63,7 +64,7 @@ def matrix(n, entries, modulus=2, names=None):
         for i in range(n + 1)
         for j in range(i + 1, n + 1)
     }
-    return QMatrix(n, upper, None if names is None else GeneratorTable(names, modulus))
+    return qmatrix_of_scalars(n, upper, None if names is None else GeneratorTable(names, modulus))
 
 
 def skeleton_weight(config) -> int:
