@@ -6,13 +6,13 @@ import random
 import pytest
 
 from conftest import apply_perm
-from qpoints import gallery
 from qpoints.adequacy import is_adequate, is_dense
 from qpoints.cli import main
 from qpoints.lattice import closure, quartet_saturate
 from qpoints.gallery import (
     block_matrix,
     p3_two_planes_collection,
+    p3_two_planes_matrix,
     pentagonal_collection,
     pentagonal_good_set,
     sign_matrix,
@@ -166,7 +166,7 @@ class TestRealize:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"n": 7, "triples": []}))
         assert main(["realize", "--class", "5", "12"]) == main(["realize", str(path)]) == 0
-        gallery.p3_two_planes_matrix(), gallery.block_matrix(), gallery.sign_matrix()
+        p3_two_planes_matrix(), block_matrix(), sign_matrix()
         assert built == []
         path.write_text(json.dumps({"n": 5, "triples": [list(t) for t in pentagonal_good_set()]}))
         assert main(["forced", str(path)]) == 0
