@@ -4,12 +4,14 @@ Given an adequate collection of excluded planes, build a commutation matrix
 whose point variety excludes exactly those planes.  The good-triple set of
 any matrix is closed under the integer span of its characters, so a
 collection is realizable only when its complement is closed; otherwise the
-planes the span forces back in are reported as the obstruction.  A closed
-complement is realized by its generic point when it has one: the character
-equations are solved over the exponent lattice, with fresh generators for
-the free directions and a torsion character chosen to keep every excluded
-plane obstructed.  From n = 8 a closed complement can lack one, and
-realize reports that (exit 5 in the CLI; see test_realize.py's
+planes the span forces back in are reported as the obstruction.  Each
+excluded plane is screened on the free columns of the quotient by the
+span, and its full image is formed only when its free part vanishes.  A
+closed complement is realized by its generic point when it has one: the
+character equations are solved over the exponent lattice, with fresh
+generators for the free directions and a torsion character chosen to keep
+every excluded plane obstructed.  From n = 8 a closed complement can lack
+one, and realize reports that (exit 5 in the CLI; see test_realize.py's
 test_closed_complement_without_generic_point).  Every result is verified
 exactly; a construction that misses its target is reported, never accepted.
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm, prod
 from typing import Iterable
 
@@ -148,7 +149,7 @@ class SolutionFamily:
     def count(self) -> int | None:
         return prod(self.torsion_orders) if self.is_finite else None
 
-    @cached_property
+    @property
     def _exponent(self) -> int:
         # phases live in Z/m, m the exponent of the component group
         return lcm(*self.torsion_orders)
@@ -170,12 +171,13 @@ class SolutionFamily:
 
     def point(self, cand: tuple[int, ...], gens: dict[int, str]) -> QMatrix:
         """The solution with torsion character cand and the generator
-        gens[i] on each free column i, written as exponent rows: V's free
-        columns and the phase of cand."""
+        gens[i] on each free column i, written as exponent rows: V's
+        nonzero free entries, and the phase of cand, which is 0 when the
+        component group is trivial (cand empty)."""
         m = self._exponent
         free = self.quotient.free
         entries = {
-            pair: ([(gens[i], row[i]) for i in free], self.phase(cand, row))
+            pair: ([(gens[i], row[i]) for i in free if row[i]], self.phase(cand, row) if cand else 0)
             for row, pair in zip(self.quotient.V, pair_list(self.n))
         }
         # V is unimodular, so every free column is nonzero on some row and
@@ -238,7 +240,10 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     lattice by the closed set's span: free degrees of freedom become fresh
     generators g1, g2, ... in ascending column order, and the finite
     component group is searched for a character that keeps every triple
-    outside the closed set obstructed.  The result is verified exactly.  A
+    outside the closed set obstructed.  Each outside triple is screened on
+    the free columns first: its full image, with the torsion columns, is
+    formed only when its free part vanishes, since only then can it be
+    zero or need a torsion character.  The result is verified exactly.  A
     set that is not closed raises NotClosedError, naming the triples
     outside it that its character span forces in; a closed set with no
     such character, as from n = 8 (test_closed_complement_without_generic_point),
@@ -250,18 +255,24 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     quotient = family.quotient
     # images of the characters outside the closed set, each the boundary
     # e_ij + e_jk - e_ik read as V[ij] + V[jk] - V[ik]: those that are zero
-    # are forced into it; those zero on the free columns lie in a torsion
-    # coset of the span, and only a torsion character can obstruct them
-    V = quotient.V
+    # are forced into it; the others zero on the free columns lie in a
+    # torsion coset of the span, and only a torsion character can obstruct
+    # them
+    V, free = quotient.V, quotient.free
     ij, jk, ik = (a.tolist() for a in boundary_pairs(n))
     forced, free_zero_outside = [], []
     for b, t in enumerate(all_triples(n)):
         if closed.mask >> b & 1:
             continue
-        z = [u + v - w for u, v, w in zip(V[ij[b]], V[jk[b]], V[ik[b]])]
+        # most images are nonzero on a free column, which obstructs the
+        # triple whatever the torsion character
+        u, v, w = V[ij[b]], V[jk[b]], V[ik[b]]
+        if any(u[x] + v[x] - w[x] for x in free):
+            continue
+        z = [p + q - r for p, q, r in zip(u, v, w)]
         if quotient.is_zero(z):
             forced.append(t)
-        elif not any(z[x] for x in quotient.free):
+        else:
             free_zero_outside.append(z)
     if forced:
         raise NotClosedError(forced)

@@ -184,7 +184,7 @@ class GeneratorTable:
                 raise ScalarError(f"bad generator name {g!r}")
         object.__setattr__(self, "names", names)
 
-    @cached_property
+    @property
     def _columns(self) -> dict[str, int]:
         """Column of each generator in a matrix's exponent rows: c for
         names[c - 1], column 0 being the torsion phase."""

@@ -209,9 +209,14 @@ class TripleSet:
         """links[a][b], for indices a != b: the bitmask of a, b and every c
         such that the triple on {a, b, c} is in the set."""
         link = [[(1 << a) | (1 << b) for b in range(self.n + 1)] for a in range(self.n + 1)]
-        for t in self:
-            for a, b, c in itertools.permutations(t):
-                link[a][b] |= 1 << c
+        for i, j, k in self:
+            li, lj, lk = link[i], link[j], link[k]
+            li[j] |= 1 << k
+            lj[i] |= 1 << k
+            li[k] |= 1 << j
+            lk[i] |= 1 << j
+            lj[k] |= 1 << i
+            lk[j] |= 1 << i
         return link
 
     def complement(self) -> "TripleSet":

@@ -1,3 +1,4 @@
+import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 
 from qpoints.adequacy import _witness_masks, enumerate_adequate, is_dense
 from qpoints.degeneration import DegNode
-from qpoints.realize import generic_point_of_node
-from qpoints.lattice import SubLattice, _xgcd, closure, node_label, span
+from qpoints.realize import GenericPointError, NotClosedError, forced_solutions, generic_point_of_node
+from qpoints.lattice import SubLattice, _xgcd, boundary_pairs, closure, node_label, pair_list, span
 from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix, ScalarError, TableMismatchError
 from qpoints.triples import (
     Triple,
@@ -23,7 +24,7 @@ from qpoints.triples import (
     permutations,
     quartet_masks,
 )
-from qpoints.variety import Flat, components, ideal_generators
+from qpoints.variety import Flat, components, good_triples, ideal_generators
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131]
@@ -493,6 +494,63 @@ def per_extension_closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int,
                 steps.add((k, cm))
         frontier = next_frontier
     return nodes, steps
+
+
+def permutation_links(J: TripleSet) -> list[list[int]]:
+    """Reference copy of TripleSet.links that walks the six orderings of
+    each triple with itertools.permutations (oracle for links)."""
+    link = [[(1 << a) | (1 << b) for b in range(J.n + 1)] for a in range(J.n + 1)]
+    for t in J:
+        for a, b, c in itertools.permutations(t):
+            link[a][b] |= 1 << c
+    return link
+
+
+def full_image_generic_point(closed: TripleSet) -> QMatrix:
+    """Reference copy of generic_point_of_node that forms the full image
+    V[ij] + V[jk] - V[ik] of every excluded plane before testing it, and
+    writes every free column of every pair, zeros included, with the phase
+    of the chosen character (oracle for the screened solve)."""
+    n = closed.n
+    family = forced_solutions(closed)
+    quotient = family.quotient
+    V = quotient.V
+    ij, jk, ik = (a.tolist() for a in boundary_pairs(n))
+    forced, free_zero_outside = [], []
+    for b, t in enumerate(all_triples(n)):
+        if closed.mask >> b & 1:
+            continue
+        z = [u + v - w for u, v, w in zip(V[ij[b]], V[jk[b]], V[ik[b]])]
+        if quotient.is_zero(z):
+            forced.append(t)
+        elif not any(z[x] for x in quotient.free):
+            free_zero_outside.append(z)
+    if forced:
+        raise NotClosedError(forced)
+    try:
+        candidates = family.characters()
+    except ValueError as exc:
+        raise GenericPointError(f"component group too large to search: {exc}") from None
+    choice = next(
+        (cand for cand in candidates if all(family.phase(cand, z) for z in free_zero_outside)),
+        None,
+    )
+    if choice is None:
+        raise GenericPointError(
+            "no torsion character separates the closed set; "
+            f"{len(free_zero_outside)} torsion-coset triples obstruct"
+        )
+    gens = {i: f"g{k}" for k, i in enumerate(quotient.free, 1)}
+    m = family._exponent
+    entries = {
+        pair: ([(gens[i], row[i]) for i in quotient.free], family.phase(choice, row))
+        for row, pair in zip(V, pair_list(n))
+    }
+    Q = QMatrix(n, GeneratorTable(tuple(sorted(gens.values())), m if m > 1 else 2), entries)
+    achieved = good_triples(Q)
+    if achieved != closed:
+        raise GenericPointError(f"verification failed: achieved {achieved}, wanted {closed}")
+    return Q
 
 
 @pytest.fixture

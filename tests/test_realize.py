@@ -2,11 +2,12 @@ import hashlib
 import importlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import apply_perm
-from qpoints.adequacy import is_adequate, is_dense
+from conftest import apply_perm, full_image_generic_point
+from qpoints.adequacy import enumerate_adequate, is_adequate, is_dense
 from qpoints.cli import main
 from qpoints.lattice import closure, quartet_saturate
 from qpoints.gallery import (
@@ -20,7 +21,9 @@ from qpoints.gallery import (
 )
 from qpoints.scalars import GroupScalar
 from qpoints.realize import (
+    GenericPointError,
     NotAdequateError,
+    NotClosedError,
     generic_point_of_node,
     realize,
     realize_all,
@@ -61,6 +64,23 @@ def beyond_catalog_draws(n: int) -> list[TripleSet]:
             picks += list(OBSTRUCTED.complement())
         draws.append(quartet_saturate(TripleSet.of(n, picks)).complement())
     return draws
+
+
+def second_obstruction_node() -> TripleSet:
+    """The n = 8 closed set with no generic point: the closure of the three
+    relabelings of RP^2."""
+    return closure(TripleSet.of(8, [tuple(sorted(m[v] for v in t)) for m in RP2_RELABELINGS for t in RP2]))
+
+
+def generic_point_outcome(solve, closed: TripleSet) -> tuple:
+    """What a generic-point solver makes of a set: its matrix, the forced
+    triples of NotClosedError, or the message of GenericPointError."""
+    try:
+        return "matrix", solve(closed)
+    except NotClosedError as exc:
+        return "not closed", exc.forced
+    except GenericPointError as exc:
+        return "no generic point", str(exc)
 
 
 class TestRealize:
@@ -237,6 +257,26 @@ class TestGenericPoint:
         with pytest.raises(ValueError, match="n <= 50, got n = 51"):
             generic_point_of_node(TripleSet.full(51))
 
+    def test_agrees_with_the_full_image_solve(self):
+        # screening the excluded planes on the free columns and writing only
+        # nonzero exponents change nothing the solve returns
+        nodes = [C.complement() for n in range(6) for C in enumerate_adequate(n).representatives]
+        nodes += [C.complement() for n in (6, 7, 8) for C in beyond_catalog_draws(n)]
+        rng = random.Random(2517)
+        for n in (6, 7, 8, 9):
+            for _ in range(12):
+                picks = rng.sample(all_triples(n), rng.randint(0, 3 * n))
+                nodes.append(closure(TripleSet.of(n, picks)))
+        nodes.append(second_obstruction_node())
+        kinds, phased = Counter(), 0
+        for closed in nodes:
+            outcome = generic_point_outcome(generic_point_of_node, closed)
+            assert outcome == generic_point_outcome(full_image_generic_point, closed)
+            kinds[outcome[0]] += 1
+            phased += outcome[0] == "matrix" and 0 in outcome[1].cols
+        assert set(kinds) == {"matrix", "not closed", "no generic point"}
+        assert phased  # the torsion path writes phases too
+
     def test_deterministic(self):
         a = generic_point_of_node(TripleSet.full(4))
         b = generic_point_of_node(TripleSet.full(4))
@@ -254,6 +294,15 @@ class TestPinnedOutputs:
         8: "9a1ab8b0cc4abad35979d2a86926d131b4b6bee357469c698dcf7c0847f649f6",
     }
     REALIZE_EMPTY_12 = "30d0d24444aced2e62da7dcfd1b5ea3af57b67edede4b9df95b4ac4d5d353599"
+    # the exit code, a newline and stdout of realize --class N all
+    REALIZE_CLASS_ALL = {
+        0: "daf429f4a8aa7a251280692af84443345a4138513b2314052042c3c56e7914e0",
+        1: "daf429f4a8aa7a251280692af84443345a4138513b2314052042c3c56e7914e0",
+        2: "d4b271dfd805cb5ce187938cf710d3384f818bf11302b85dd2c093e8434eba06",
+        3: "995c96b8e913d135fe5b68028efb2a6ae5b2ca6d30b9dbd015b0184cdf12c957",
+        4: "297c4d2e511c5def78200928ef4e635c2a2d2eb431526d4d1a7e70468391bfd5",
+        5: "c9e79e4fac3e450bd360a8435c8fc5a94576b566f12322d286dbdab913a0b138",
+    }
 
     def test_realize_class_5_outputs(self, capsys):
         digest = hashlib.sha256()
@@ -261,6 +310,12 @@ class TestPinnedOutputs:
             code = main(["realize", "--class", "5", str(k)])
             digest.update(f"{k} {code}\n{capsys.readouterr().out}".encode())
         assert digest.hexdigest() == self.REALIZE_CLASS_5
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_realize_class_all_output(self, n, capsys):
+        code = main(["realize", "--class", str(n), "all"])
+        digest = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == self.REALIZE_CLASS_ALL[n]
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_realize_beyond_the_catalog_outputs(self, n, tmp_path, capsys):

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import apply_perm, canonical_masks, find_permutation_to, permute_triple
+from conftest import apply_perm, canonical_masks, find_permutation_to, permutation_links, permute_triple
 from qpoints.triples import (
     TripleSet,
     _perm_mask_tables,
@@ -88,6 +88,17 @@ class TestMasks:
         assert tuple(a & b) == ((0, 1, 3),)
         assert tuple(a - b) == ((0, 1, 2),)
         assert a.complement() | a == TripleSet.full(3)
+
+
+class TestLinks:
+    def test_matches_the_permutation_walk(self, rng):
+        for n in range(13):
+            nt = num_triples(n)
+            sets = [TripleSet.empty(n), TripleSet.full(n)]
+            sets += [TripleSet(n, rng.getrandbits(nt)) for _ in range(4)]
+            sets += [TripleSet(n, rng.getrandbits(nt) & rng.getrandbits(nt) & rng.getrandbits(nt)) for _ in range(4)]
+            for J in sets:
+                assert J.links() == permutation_links(J)
 
 
 class TestCanonicalization:
