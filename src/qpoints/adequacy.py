@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .lattice import boundary_pairs, num_pairs, traverse
-from .triples import TripleSet, canonical_mask_orbit, num_triples, quartet_masks
+from .triples import Triple, TripleSet, canonical_mask_orbit, num_triples, quartet_masks
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -37,8 +37,20 @@ def is_adequate(C: Collection) -> bool:
     adequate iff no tetrahedron has exactly one face in C, i.e. iff the
     complement of C is closed under the four-index rule (quartet_saturate).
     """
+    return _one_face_tetrahedron(C) is None
+
+
+def _one_face_tetrahedron(C: Collection) -> tuple[tuple[int, ...], Triple] | None:
+    """The first tetrahedron with exactly one face in C, and that face, or
+    None when C is adequate: a member and the least index outside the links
+    of its three pairs."""
     link, full = C.links(), (1 << (C.n + 1)) - 1
-    return all(link[j][k] | link[j][l] | link[k][l] == full for j, k, l in C)
+    for j, k, l in C:
+        outside = full & ~(link[j][k] | link[j][l] | link[k][l])
+        if outside:
+            i = (outside & -outside).bit_length() - 1
+            return tuple(sorted((i, j, k, l))), (j, k, l)
+    return None
 
 
 @lru_cache(maxsize=None)

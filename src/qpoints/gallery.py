@@ -40,7 +40,7 @@ def block_matrix() -> QMatrix:
     planes are exactly the transversal collection below.
     """
     entries = {
-        (i, j): ((("x", 1),) if i in (0, 1) and j in (4, 5) else (), 0) for i, j in pair_list(5)
+        (i, j): ({"x": 1} if i in (0, 1) and j in (4, 5) else {}, 0) for i, j in pair_list(5)
     }
     return QMatrix(5, GeneratorTable(("x",), 2), entries)
 
@@ -69,7 +69,7 @@ def sign_matrix() -> QMatrix:
         [-1, 1, 1, -1, 1, 1],
         [1, 1, 1, 1, 1, 1],
     ]
-    entries = {(i, j): ((), int(grid[i][j] < 0)) for i, j in pair_list(5)}
+    entries = {(i, j): ({}, int(grid[i][j] < 0)) for i, j in pair_list(5)}
     return QMatrix(5, GeneratorTable((), 2), entries)
 
 

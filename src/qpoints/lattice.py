@@ -51,11 +51,6 @@ import numpy as np
 from .triples import Triple, TripleSet, all_triples, check_triple, mask_images, num_triples, quartet_masks
 
 
-#: Largest finite component group, as a product of torsion orders, that is
-#: searched or listed element by element.
-TORSION_SEARCH_LIMIT = 100_000
-
-
 @lru_cache(maxsize=None)
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j) with i < j, lexicographically; the coordinates of

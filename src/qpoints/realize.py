@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from math import lcm, prod
 from typing import Iterable
 
-from .adequacy import Collection, enumerate_adequate, is_adequate
+from .adequacy import Collection, _one_face_tetrahedron, enumerate_adequate
 from .lattice import (
-    TORSION_SEARCH_LIMIT,
     Quotient,
     SubLattice,
     boundary_pairs,
@@ -48,6 +47,10 @@ from .variety import good_triples
 #: n = 16, 0.6 s at n = 30 and 8 s at n = 50 (99 MB peak), almost all in
 #: the echelon reduction of its characters, 20825 of them at n = 50.
 SOLVER_MAX_N = 50
+
+#: Largest finite component group, as a product of torsion orders, that is
+#: searched or listed element by element.
+TORSION_SEARCH_LIMIT = 100_000
 
 
 def _check_solver_bound(n: int) -> None:
@@ -76,9 +79,12 @@ class NotClosedError(ValueError):
 class RealizationResult:
     matrix: QMatrix | None
     target: Collection
-    success: bool
     method: str
     detail: str = ""
+
+    @property
+    def success(self) -> bool:
+        return self.matrix is not None
 
 
 def realize(C: Collection) -> RealizationResult:
@@ -91,25 +97,28 @@ def realize(C: Collection) -> RealizationResult:
     from n = 8 (test_closed_complement_without_generic_point), is reported
     with the reason.  Raises ValueError when n exceeds SOLVER_MAX_N,
     checked first so that a huge n fails at once, and NotAdequateError
-    when C is not adequate.
+    when C is not adequate, naming a tetrahedron with exactly one face in C.
     """
     _check_solver_bound(C.n)
-    if not is_adequate(C):
-        raise NotAdequateError(f"collection is not adequate: {C}")
+    witness = _one_face_tetrahedron(C)
+    if witness is not None:
+        tetrahedron, face = (",".join(map(str, s)) for s in witness)
+        raise NotAdequateError(
+            f"collection is not adequate: the tetrahedron ({tetrahedron}) has exactly one face in it, ({face})"
+        )
     try:
         matrix = generic_point_of_node(C.complement())
     except NotClosedError as exc:
         return RealizationResult(
             None,
             C,
-            False,
             "obstructed",
             "no exact realization exists: the character span of the "
             f"complement forces {exc.forced} into the point variety",
         )
     except GenericPointError as exc:
-        return RealizationResult(None, C, False, "generic-point", f"no generic point: {exc}")
-    return RealizationResult(matrix, C, True, "generic-point")
+        return RealizationResult(None, C, "generic-point", f"no generic point: {exc}")
+    return RealizationResult(matrix, C, "generic-point")
 
 
 def realize_all(n: int) -> tuple[RealizationResult, ...]:
@@ -177,7 +186,7 @@ class SolutionFamily:
         m = self._exponent
         free = self.quotient.free
         entries = {
-            pair: ([(gens[i], row[i]) for i in free if row[i]], self.phase(cand, row) if cand else 0)
+            pair: ({gens[i]: row[i] for i in free if row[i]}, self.phase(cand, row) if cand else 0)
             for row, pair in zip(self.quotient.V, pair_list(self.n))
         }
         # V is unimodular, so every free column is nonzero on some row and

@@ -8,9 +8,9 @@ ever asks reduce to identities in this group, so there is no floating point
 anywhere and "generic" simply means "uses a generator nobody else uses".
 
 A matrix is its exponent array, built by its one constructor,
-QMatrix(n, table, entries), from each entry's exponents and torsion phase:
-the JSON reader and the solver call it, and good_triples and the JSON
-writer read the rows.  GroupScalar is the parse and print type of one
+QMatrix(n, table, entries), from each entry's exponents by name and torsion
+phase: the JSON reader and the solver call it, and good_triples and the
+JSON writer read the rows.  GroupScalar is the parse and print type of one
 entry (parse_scalar, QMatrix.entry, the solutions `forced` prints).  No
 command reaches its arithmetic, kept while perfbench/tracer.py wraps it.
 """
@@ -206,8 +206,8 @@ class QMatrix:
     and the lower triangle the inverses, by construction; the GroupScalar
     entries of upper, entry and b are built from the array when asked for.
 
-    QMatrix(n, table, entries), from exponent entries, is the one
-    constructor (see __post_init__).
+    QMatrix(n, table, entries) is the one constructor (see __post_init__),
+    and QMatrix(Q.n, Q.table, Q._entries()) == Q.
     """
 
     n: int
@@ -222,12 +222,11 @@ class QMatrix:
     def __post_init__(self, n: int, table: GeneratorTable, entries: Mapping) -> None:
         """The row builder that the one constructor, QMatrix(n, table,
         entries), calls: fill the exponent rows from entries[(i, j)] =
-        (exponents, phase), the exponents as (name, exponent) pairs, zeros
-        allowed, and the phase an integer taken mod the modulus; a
-        GroupScalar q gives the entry (q.exponents, q.torsion).  The keys
-        must be exactly the pairs i < j and the table must hold every name
-        of a nonzero exponent; an entry must not name a generator twice,
-        which is not checked."""
+        (exponents, phase), the exponents a map from generator name to
+        exponent, zeros allowed (pairs raise ScalarError), and the phase an
+        integer taken mod the modulus; a GroupScalar q gives the entry
+        (dict(q.exponents), q.torsion).  The keys must be exactly the pairs
+        i < j and the table must hold every name of a nonzero exponent."""
         if n < 0:
             raise ScalarError("dimension index must be >= 0")
         # Counting first keeps a huge n from walking its pairs.
@@ -241,11 +240,13 @@ class QMatrix:
                 phase %= modulus
                 if phase:
                     found.append((p, 0, phase))
-                found += [(p, column[g], e) for g, e in exps if e]
+                found += [(p, column[g], e) for g, e in exps.items() if e]
             except KeyError:
                 if pair not in entries:
                     raise ScalarError("upper triangle must hold exactly the pairs i < j") from None
                 raise TableMismatchError("matrix entry not admitted by generator table") from None
+            except AttributeError:
+                raise ScalarError(f"exponents of pair {pair} must map generator names to exponents") from None
         found.sort()  # in linear time when each entry lists its names in table order
         rows, cols, vals = zip(*found) if found else ((), (), ())
         # the narrowest type holding +-3 times the largest entry, so a sum
@@ -270,28 +271,24 @@ class QMatrix:
             and np.array_equal(self.vals, other.vals)
         )
 
-    def _entries(self) -> dict[tuple[int, int], tuple[list[tuple[str, int]], int]]:
+    def _entries(self) -> dict[tuple[int, int], tuple[dict[str, int], int]]:
         """The constructor's entries, read back from the rows: each pair's
-        nonzero exponents in table order, and its phase."""
-        names, pairs = self.table.names, pair_list(self.n)
-        exps: list[list[tuple[str, int]]] = [[] for _ in pairs]
-        phase = [0] * len(pairs)
+        nonzero exponents by name in table order, and its phase."""
+        keys, pairs = (0, *self.table.names), pair_list(self.n)
+        exps: list[dict] = [{} for _ in pairs]
         for p, c, e in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
-            if c:
-                exps[p].append((names[c - 1], e))
-            else:
-                phase[p] = e
-        return {pair: (x, t) for pair, x, t in zip(pairs, exps, phase)}
+            exps[p][keys[c]] = e
+        # a row's phase, column 0, comes first under the key 0 and is popped
+        return {pair: (x, x.pop(0, 0)) for pair, x in zip(pairs, exps)}
 
     @cached_property
     def upper(self) -> dict[tuple[int, int], GroupScalar]:
         """The upper triangle as {(i, j): q_ij}."""
-        modulus = self.table.torsion_modulus
-        return {pair: GroupScalar(tuple(x), t, modulus) for pair, (x, t) in self._entries().items()}
+        return {pair: GroupScalar.from_dict(x, t, self.table.torsion_modulus) for pair, (x, t) in self._entries().items()}
 
     @classmethod
     def ones(cls, n: int, modulus: int = 2) -> "QMatrix":
-        return cls(n, GeneratorTable((), modulus), dict.fromkeys(pair_list(n), ((), 0)))
+        return cls(n, GeneratorTable((), modulus), dict.fromkeys(pair_list(n), ({}, 0)))
 
     def entry(self, i: int, j: int) -> GroupScalar:
         """q_ij, completing the stored triangle by q_ii = 1, q_ji = q_ij^-1."""
@@ -319,12 +316,12 @@ class QMatrix:
         upper = {p: s.substitute(images) for p, s in self.upper.items()}
         names = sorted({g for s in upper.values() for g in s.generators()})
         table = GeneratorTable(tuple(names), self.table.torsion_modulus)
-        return QMatrix(self.n, table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
+        return QMatrix(self.n, table, {p: (dict(s.exponents), s.torsion) for p, s in upper.items()})
 
     def conjugate(self, perm: tuple[int, ...]) -> "QMatrix":
         """Relabeled matrix R with R[i][j] = Q[perm(i)][perm(j)]."""
         upper = {(i, j): self.entry(perm[i], perm[j]) for i, j in pair_list(self.n)}
-        return QMatrix(self.n, self.table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
+        return QMatrix(self.n, self.table, {p: (dict(s.exponents), s.torsion) for p, s in upper.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,7 +329,7 @@ class QMatrix:
             "torsion_modulus": self.table.torsion_modulus,
             "generators": list(self.table.names),
             "upper": {
-                f"{i},{j}": {"torsion": t, "exponents": dict(x)}
+                f"{i},{j}": {"torsion": t, "exponents": x}
                 for (i, j), (x, t) in self._entries().items()
             },
         }
@@ -404,9 +401,9 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
                 raise MatrixFormatError(f"torsion of pair {key!r} must be an integer, got {phase!r}")
         else:
             raise MatrixFormatError(f"bad scalar for pair {key!r}: expected a string or an object")
-        entries[pair] = (exps.items(), phase)
+        entries[pair] = (exps, phase)
     if not names:
-        names = sorted({g for exps, _ in entries.values() for g, e in exps if e})
+        names = sorted({g for exps, _ in entries.values() for g, e in exps.items() if e})
     return QMatrix(n, GeneratorTable(tuple(names), modulus), entries)
 
 

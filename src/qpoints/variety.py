@@ -30,13 +30,17 @@ Flat = tuple[int, ...]
 class Configuration:
     """Irreducible components of a point variety and their type vector.
 
-    type_vector counts components by projective dimension, from dimension n
-    down to 1, matching the tabulated types of the degeneration graphs.
+    type_vector counts the components by projective dimension, from n down
+    to 1, matching the tabulated types of the degeneration graphs.
     """
 
     n: int
     components: tuple[Flat, ...]
-    type_vector: tuple[int, ...]
+
+    @property
+    def type_vector(self) -> tuple[int, ...]:
+        sizes = Counter(len(c) for c in self.components)
+        return tuple(sizes[d + 1] for d in range(self.n, 0, -1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,10 +173,7 @@ def components(good: TripleSet) -> Configuration:
             P, X = P & ~(1 << v), X | 1 << v
 
     grow(0, (1 << (n + 1)) - 1, 0, dict.fromkeys(range(n + 1), -1))
-    maximal.sort()
-    sizes = Counter(len(c) for c in maximal)
-    type_vector = tuple(sizes[d + 1] for d in range(n, 0, -1))
-    return Configuration(n, tuple(maximal), type_vector)
+    return Configuration(n, tuple(sorted(maximal)))
 
 
 def ideal_generators(good: TripleSet) -> list[Triple]:

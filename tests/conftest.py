@@ -48,7 +48,7 @@ def qmatrix_of_scalars(
         table = GeneratorTable(tuple(names), moduli.pop() if moduli else 2)
     elif moduli - {table.torsion_modulus}:
         raise TableMismatchError("matrix entry not admitted by generator table")
-    return QMatrix(n, table, {p: (s.exponents, s.torsion) for p, s in upper.items()})
+    return QMatrix(n, table, {p: (dict(s.exponents), s.torsion) for p, s in upper.items()})
 
 
 def random_qmatrix(rng: random.Random, n: int, torsion: bool = True) -> QMatrix:
@@ -543,7 +543,7 @@ def full_image_generic_point(closed: TripleSet) -> QMatrix:
     gens = {i: f"g{k}" for k, i in enumerate(quotient.free, 1)}
     m = family._exponent
     entries = {
-        pair: ([(gens[i], row[i]) for i in quotient.free], family.phase(choice, row))
+        pair: ({gens[i]: row[i] for i in quotient.free}, family.phase(choice, row))
         for row, pair in zip(V, pair_list(n))
     }
     Q = QMatrix(n, GeneratorTable(tuple(sorted(gens.values())), m if m > 1 else 2), entries)

@@ -754,6 +754,11 @@ class TestRealize:
 
         path = write_collection(tmp_path, TripleSet.of(3, [(0, 1, 2)]))
         assert main(["realize", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: collection is not adequate: the tetrahedron (0,1,2,3) has exactly one face in it, (0,1,2)\n"
+        )
 
     def test_class_index(self, capsys):
         assert main(["realize", "--class", "3", "0"]) == 0

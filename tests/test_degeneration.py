@@ -22,16 +22,16 @@ from qpoints.degeneration import (
 )
 from qpoints.gallery import pentagonal_good_set, sign_matrix
 from qpoints.lattice import (
-    TORSION_SEARCH_LIMIT,
     SubLattice,
     closure,
     node_label,
     num_pairs,
     pair_list,
     smith_normal_form,
+    span,
     triple_char,
 )
-from qpoints.realize import SolutionFamily, forced_solutions, generic_point_of_node, realize_all
+from qpoints.realize import TORSION_SEARCH_LIMIT, SolutionFamily, forced_solutions, generic_point_of_node, realize_all
 from qpoints.triples import (
     TripleSet,
     all_triples,
@@ -272,6 +272,21 @@ class TestGraph:
         for n in (2, 3, 4, 5):
             graph = build_graph(n)
             assert set(graph.arrows) == all_pairs_arrows(graph.nodes)
+
+    def test_graded_by_label(self):
+        # an arrow drops the label by one, or keeps it when its source has
+        # torsion: then the target is a union of components of the source's
+        # sub-torus, of the same dimension
+        for n in range(6):
+            graph = build_graph(n)
+            drops = Counter()
+            for u, v in graph.arrows:
+                source, target = graph.nodes[u], graph.nodes[v]
+                torsion = bool(span(source.closed_set).quotient().torsion)
+                drop = source.label - target.label
+                assert drop == (0 if torsion else 1), (n, source.closed_set, target.closed_set)
+                drops[drop] += 1
+            assert (drops[0], drops[1]) == ((1, 809) if n == 5 else (0, len(graph.arrows)))
 
     def test_unique_source_is_generic_node(self):
         for n in (2, 3, 4):

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -24,6 +27,7 @@ from qpoints.realize import (
     GenericPointError,
     NotAdequateError,
     NotClosedError,
+    RealizationResult,
     generic_point_of_node,
     realize,
     realize_all,
@@ -120,6 +124,45 @@ class TestRealize:
     def test_not_adequate_rejected(self):
         with pytest.raises(NotAdequateError):
             realize(TripleSet.of(3, [(0, 1, 2)]))
+
+    def test_not_adequate_names_a_one_face_tetrahedron(self):
+        # adequate means no tetrahedron has exactly one face in C; the error
+        # names one, checked against a count of faces over every tetrahedron
+        rng = random.Random(4)
+        named = 0
+        for n in range(3, 10):
+            triples = all_triples(n)
+            for _ in range(30):
+                density = rng.random()
+                C = TripleSet.of(n, [t for t in triples if rng.random() < density])
+                one_face = [
+                    q
+                    for q in itertools.combinations(range(n + 1), 4)
+                    if sum(f in C for f in itertools.combinations(q, 3)) == 1
+                ]
+                assert is_adequate(C) == (not one_face)
+                if not one_face:
+                    continue
+                with pytest.raises(NotAdequateError) as info:
+                    realize(C)
+                found = re.fullmatch(
+                    r"collection is not adequate: the tetrahedron \((\d+),(\d+),(\d+),(\d+)\) has exactly one face in it, \((\d+),(\d+),(\d+)\)",
+                    str(info.value),
+                )
+                numbers = tuple(map(int, found.groups()))
+                quartet, face = numbers[:4], numbers[4:]
+                assert quartet in one_face
+                assert [f for f in itertools.combinations(quartet, 3) if f in C] == [face]
+                named += 1
+        assert named > 100
+
+    def test_success_is_read_off_the_matrix(self):
+        C = p3_two_planes_collection()
+        assert [f.name for f in dataclasses.fields(RealizationResult)] == ["matrix", "target", "method", "detail"]
+        with pytest.raises(TypeError):
+            RealizationResult(None, C, "obstructed", success=True)
+        assert not RealizationResult(None, C, "obstructed").success
+        assert realize(C).success
 
     def test_dimension_guard(self):
         # the solver bound of forced_solutions, checked before adequacy

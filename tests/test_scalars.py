@@ -151,9 +151,41 @@ class TestQMatrix:
 
     def test_constructor_takes_phases_mod_the_modulus(self):
         table = GeneratorTable(("a",), 3)
-        Q = QMatrix(1, table, {(0, 1): ((("a", 1),), -1)})
-        assert Q == QMatrix(1, table, {(0, 1): ((("a", 1),), 2)})
+        Q = QMatrix(1, table, {(0, 1): ({"a": 1}, -1)})
+        assert Q == QMatrix(1, table, {(0, 1): ({"a": 1}, 2)})
         assert Q.entry(0, 1) == s("a*w^2", 3)
+
+    @pytest.mark.parametrize(
+        "n, exponents",
+        # the first two name a twice, which a map cannot; a single pair is
+        # refused the same way
+        [(1, (("a", 1), ("a", 1))), (2, (("a", 1), ("a", -1))), (1, (("a", 1),)), (1, [["a", 1]])],
+    )
+    def test_exponents_as_pairs_rejected(self, n, exponents):
+        entries = {pair: ({}, 0) for pair in itertools.combinations(range(n + 1), 2)}
+        entries[(0, 1)] = (exponents, 0)
+        with pytest.raises(ScalarError, match=re.escape("exponents of pair (0, 1) must map generator names")):
+            QMatrix(n, GeneratorTable(("a",), 2), entries)
+
+    @pytest.mark.parametrize("torsion", [True, False])
+    def test_entries_round_trip(self, rng, torsion):
+        for _ in range(40):
+            Q = random_qmatrix(rng, rng.randint(0, 5), torsion)
+            entries = Q._entries()
+            assert QMatrix(Q.n, Q.table, entries) == Q
+            assert all(0 not in x.values() for x, _ in entries.values())
+            assert {f"{i},{j}": x for (i, j), (x, _) in entries.items()} == {
+                key: value["exponents"] for key, value in Q.to_json_dict()["upper"].items()
+            }
+
+    def test_entries_round_trip_beyond_int64(self):
+        big = 2**63
+        table = GeneratorTable(("a", "b"), 3)
+        entries = {(0, 1): ({"a": big}, 1), (0, 2): ({"a": big, "b": -big - 1}, 2), (1, 2): ({"b": -big - 1}, 0)}
+        Q = QMatrix(2, table, entries | {(1, 2): ({"b": -big - 1, "a": 0}, 3)})  # a zero exponent and w^3 = 1 drop out
+        assert Q.vals.dtype == object
+        assert Q._entries() == entries
+        assert QMatrix(Q.n, Q.table, Q._entries()) == Q
 
     def test_str_prints_the_full_matrix(self):
         # the diagonal is 1 and the lower triangle holds the inverses

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -25,7 +26,7 @@ from qpoints.gallery import (
 )
 from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix, qmatrix_from_json
 from qpoints.triples import TripleSet, all_triples
-from qpoints.variety import components, good_triples, ideal_generators
+from qpoints.variety import Configuration, components, good_triples, ideal_generators
 
 
 def brute_force_components(good: TripleSet):
@@ -188,6 +189,13 @@ class TestComponents:
         config = components(TripleSet.of(3, [(0, 1, 2), (1, 2, 3)]))
         assert config.components == ((0, 1, 2), (0, 3), (1, 2, 3))
         assert config.type_vector == (0, 2, 1)
+
+    def test_type_vector_is_read_off_the_components(self):
+        config = components(TripleSet.of(3, [(0, 1, 2), (1, 2, 3)]))
+        assert [f.name for f in dataclasses.fields(Configuration)] == ["n", "components"]
+        with pytest.raises(TypeError):
+            Configuration(3, config.components, (1, 0, 0))
+        assert Configuration(3, config.components) == config
 
     def test_empty_good_set_gives_skeleton(self):
         config = components(TripleSet.empty(3))
