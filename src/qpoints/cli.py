@@ -102,10 +102,10 @@ def _json_text(value, prefix: str = "") -> str:
             body = sep.join([head + row_sep.join(map(str, row)) + tail for row in value])
         else:
             body = sep.join([_json_text(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + prefix + "]"
+        return "".join(("[\n", inner, body, "\n", prefix, "]"))
     if kind is dict and value and set(map(type, value)) == {str}:
         body = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()])
-        return "{\n" + inner + body + "\n" + prefix + "}"
+        return "".join(("{\n", inner, body, "\n", prefix, "}"))
     return json.dumps(value, indent=2).replace("\n", "\n" + prefix)
 
 
@@ -198,7 +198,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     graph = build_graph(args.n)
-    body = _json_text(graph_json_dict(graph)) + "\n" if args.json else to_dot(graph)
+    body = "".join((_json_text(graph_json_dict(graph)), "\n")) if args.json else to_dot(graph)
     _emit(body, args)
     print(f"nodes={len(graph.nodes)} arrows={len(graph.arrows)}")
     return EXIT_OK

@@ -4,7 +4,9 @@ Every set of triples cuts a sub-torus out of the parameter torus; two sets
 cut out the same sub-torus exactly when they have the same character-span
 closure.  Nodes of the degeneration graph are the closed triple sets up to
 coordinate symmetry, each carrying the dimension label of its sub-torus and
-the type vector of the point variety it produces; arrows record strict
+the type vector of the point variety it produces (counted for all the
+nodes of one n by one sieve over the 2^(n+1) coordinate subsets,
+variety._type_vectors); arrows record strict
 inclusion of closed sets (larger closed set = smaller torus = bigger point
 variety), transitively reduced.  Both are read off lattice.traverse, the
 quartet traversal that also lists the catalog: the nodes are the classes
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .lattice import _closure_label, traverse
 from .triples import TripleSet, canonical_mask_orbit
-from .variety import components
+from .variety import _type_vectors
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,9 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     """Closed-set classes and one-step inclusions, read off the classes of
     lattice.traverse.  The exact closure runs once per class, and its span
     also gives the label; a class is a node when its closure adds nothing,
-    and a step (K, L) from a node becomes (K, the closed class of L)."""
+    and a step (K, L) from a node becomes (K, the closed class of L).  The
+    type vectors of all the nodes come from one subset sieve
+    (variety._type_vectors), not from components once per node."""
     classes, successors = traverse(n)
     closed_class: dict[int, int] = {}
     fixed = []
@@ -91,9 +95,8 @@ def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
         closed_class[m], orbit = canonical_mask_orbit(n, closed.mask)
         if closed.mask == m:
             fixed.append((closed, label, orbit))
-    # a second pass: built inside the closure loop, the graph workload's
-    # solve_s read 6.5% higher, in 10 of 10 pairs (BENCH_19.json, layout_ab)
-    nodes = [DegNode(closed, label, components(closed).type_vector, orbit) for closed, label, orbit in fixed]
+    types = _type_vectors(n, [closed.mask for closed, _, _ in fixed])
+    nodes = [DegNode(closed, label, tv, orbit) for (closed, label, orbit), tv in zip(fixed, types)]
     return nodes, {(k, closed_class[m]) for k, ms in zip(classes, successors) if closed_class[k] == k for m in ms}
 
 

@@ -226,7 +226,9 @@ class QMatrix:
         exponent, zeros allowed (pairs raise ScalarError), and the phase an
         integer taken mod the modulus; a GroupScalar q gives the entry
         (dict(q.exponents), q.torsion).  The keys must be exactly the pairs
-        i < j and the table must hold every name of a nonzero exponent."""
+        i < j and the table must hold every name of a nonzero exponent.  A
+        phase or nonzero exponent that is not a Python int (a float, a bool,
+        a string) raises ScalarError naming its pair, as in the JSON reader."""
         if n < 0:
             raise ScalarError("dimension index must be >= 0")
         # Counting first keeps a huge n from walking its pairs.
@@ -237,6 +239,8 @@ class QMatrix:
         for p, pair in enumerate(pair_list(n)):
             try:
                 exps, phase = entries[pair]
+                if type(phase) is not int:
+                    raise ScalarError(f"phase of pair {pair} must be an integer, got {phase!r}")
                 phase %= modulus
                 if phase:
                     found.append((p, 0, phase))
@@ -249,6 +253,10 @@ class QMatrix:
                 raise ScalarError(f"exponents of pair {pair} must map generator names to exponents") from None
         found.sort()  # in linear time when each entry lists its names in table order
         rows, cols, vals = zip(*found) if found else ((), (), ())
+        if not set(map(type, vals)) <= {int}:
+            p, c, e = next(f for f in found if type(f[2]) is not int)
+            name, pair = table.names[c - 1], pair_list(n)[p]
+            raise ScalarError(f"exponent of {name} in pair {pair} must be an integer, got {e!r}")
         # the narrowest type holding +-3 times the largest entry, so a sum
         # of three rows is exact; object (Python integers) beyond int64
         dtype = np.min_scalar_type(-3 * max([modulus, *map(abs, vals)]))

@@ -96,10 +96,12 @@ def _perm_mask_tables(n: int) -> tuple[np.ndarray, ...]:
     w = max(1, -(-nt // chunks))
     dtype = np.int32 if nt < 32 else np.int64
     # image triple index of every (triple, permutation), via an index cube
+    # filled at all six orders of each triple, so images need no sorting
     cube = np.zeros((n + 1,) * 3, dtype=np.int64)
     trips = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3)
-    cube[tuple(trips.T)] = np.arange(nt)
-    images = np.sort(np.array(permutations(n)).T[trips], axis=1)
+    for order in itertools.permutations(range(3)):
+        cube[tuple(trips.T[list(order)])] = np.arange(nt)
+    images = np.array(permutations(n)).T[trips]
     bit_images = np.left_shift(1, cube[images[:, 0], images[:, 1], images[:, 2]]).astype(dtype)
     tables = []
     for start in range(0, max(nt, 1), w):

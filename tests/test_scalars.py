@@ -167,6 +167,22 @@ class TestQMatrix:
         with pytest.raises(ScalarError, match=re.escape("exponents of pair (0, 1) must map generator names")):
             QMatrix(n, GeneratorTable(("a",), 2), entries)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        # a float or a bool was once cast to 1, a string failed in abs
+        [
+            (({"a": 1.5}, 0), "exponent of a in pair (0, 1) must be an integer, got 1.5"),
+            (({"a": True}, 0), "exponent of a in pair (0, 1) must be an integer, got True"),
+            (({"a": "1"}, 0), "exponent of a in pair (0, 1) must be an integer, got '1'"),
+            (({}, 1.5), "phase of pair (0, 1) must be an integer, got 1.5"),
+        ],
+        ids=["float", "bool", "string", "phase"],
+    )
+    def test_non_integer_values_rejected(self, entry, message):
+        entries = {(0, 1): entry, (0, 2): ({"a": 2}, 1), (1, 2): ({}, 0)}
+        with pytest.raises(ScalarError, match=re.escape(message)):
+            QMatrix(2, GeneratorTable(("a",), 2), entries)
+
     @pytest.mark.parametrize("torsion", [True, False])
     def test_entries_round_trip(self, rng, torsion):
         for _ in range(40):

@@ -26,7 +26,7 @@ from qpoints.gallery import (
 )
 from qpoints.scalars import GeneratorTable, GroupScalar, QMatrix, qmatrix_from_json
 from qpoints.triples import TripleSet, all_triples
-from qpoints.variety import Configuration, components, good_triples, ideal_generators
+from qpoints.variety import Configuration, _type_vectors, components, good_triples, ideal_generators
 
 
 def brute_force_components(good: TripleSet):
@@ -222,17 +222,25 @@ class TestComponents:
         rng = random.Random(20261018)
         for n in range(1, 10):
             trips = all_triples(n)
+            sets, brute = [], []
             for _ in range(40 if n < 8 else 8):
                 density = rng.random()
                 good = TripleSet.of(n, [t for t in trips if rng.random() < density])
                 config = components(good)
-                assert (config.components, config.type_vector) == brute_force_components(good)
+                sets.append(good.mask)
+                brute.append(brute_force_components(good))
+                assert (config.components, config.type_vector) == brute[-1]
+            if n <= 6:
+                assert _type_vectors(n, sets) == [tv for _, tv in brute]
 
     def test_matches_brute_force_on_structured_matrices(self, rng):
         for _ in range(25):
             good = good_triples(random_structured_qmatrix(rng, rng.randint(1, 7)))
             config = components(good)
-            assert (config.components, config.type_vector) == brute_force_components(good)
+            brute = brute_force_components(good)
+            assert (config.components, config.type_vector) == brute
+            if good.n <= 6:
+                assert _type_vectors(good.n, [good.mask]) == [brute[1]]
 
     def test_component_invariants(self, rng):
         for _ in range(15):
@@ -272,6 +280,10 @@ class TestSizeBounds:
         n = variety.VARIETY_MAX_N + 1
         with pytest.raises(ValueError, match=f"n <= {variety.VARIETY_MAX_N}"):
             components(TripleSet.empty(n))
+
+    def test_type_vectors_refuse_n_beyond_six(self):
+        with pytest.raises(ValueError, match="n <= 6, got n = 7"):
+            _type_vectors(7, [0])
 
     @pytest.mark.parametrize("parts", [3, 4, 5])
     def test_transversal_family_components(self, parts):
