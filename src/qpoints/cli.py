@@ -10,7 +10,8 @@ rule of this module alone: the library functions take n alone, and
 enumerate --adequate and realize --class never need it.  Exit codes: 0 ok,
 2 parse/usage, --long missing, or a file, stdout included, that cannot be
 read or written, 3 input invariant violation or input beyond a size bound
-(for pts: n above variety.VARIETY_MAX_N = 200, checked before the matrix
+(an input file above INPUT_MAX_BYTES = 64 MiB, checked before it is read;
+for pts: n above variety.VARIETY_MAX_N = 200, checked before the matrix
 entries are read, or more than variety.COMPONENTS_LIMIT = 100 000
 components), 4 input not adequate, 5 realization failure, 141 stdout
 closed by its reader before all output was written (as in
@@ -125,9 +126,20 @@ def _emit(body: str, args, inputs: tuple[Path, ...] = ()) -> None:
             raise
 
 
+#: Largest input file, in bytes, that pts, realize FILE and forced read;
+#: checked before reading.  The largest inputs these commands accept are
+#: about 2.1 MB (a generic n = 200 matrix, object form, indent=2) and
+#: 0.86 MB (the full n = 50 collection).
+INPUT_MAX_BYTES = 64 * 2**20
+
+
 def _read_text(path: str) -> str:
+    file = Path(path)
+    size = file.stat().st_size
+    if size > INPUT_MAX_BYTES:
+        raise ValueError(f"{path}: {size} bytes, more than the input bound of {INPUT_MAX_BYTES} bytes")
     try:
-        return Path(path).read_text()
+        return file.read_text()
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None
 

@@ -34,8 +34,9 @@ nodes, are the classes that closure fixes.
 
 Characters are sparse, and so are their echelon rows, so the kernel walks
 row supports: SubLattice.add and contains do arithmetic only on the
-nonzero columns of each row, and smith_normal_form clears a unit pivot's
-row and column in one pass over their nonzeros.
+nonzero columns of each row, and smith_normal_form clears a pivot's column
+over the pivot row's nonzeros and its row over the rows that are nonzero
+in the pivot column.
 """
 
 from __future__ import annotations
@@ -87,10 +88,19 @@ def triple_char(t: Triple, n: int) -> tuple[int, ...]:
     return tuple(v)
 
 
+#: Largest n whose character table is built: C(n+1, 3) rows of C(n+1, 2)
+#: bytes, 28 MB at n = 50, 841 MB at n = 100 and 27 GB at n = 200.  It is
+#: the bound of the b_t = 1 solver too, and so of realize and forced.
+CHARS_MAX_N = 50
+
+
 @lru_cache(maxsize=None)
 def triple_chars(n: int) -> dict[Triple, array]:
     """Characters of all triples of dimension n, in lexicographic order, as
-    signed bytes: 28 MB at n = 50, where tuples would take 213 MB."""
+    signed bytes (tuples would take 213 MB at n = 50).  Raises ValueError
+    above CHARS_MAX_N, before building any."""
+    if n > CHARS_MAX_N:
+        raise ValueError(f"the character table is built for n <= {CHARS_MAX_N}, got n = {n}")
     return {t: array("b", triple_char(t, n)) for t in all_triples(n)}
 
 
@@ -359,12 +369,13 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     at most one row per column.
 
     The pivot at step k is the first entry of least magnitude in row-major
-    order of the trailing block.  Rows are cleared below it, then columns
-    to its right; a gcd step may refill the cleared column, and the step
-    repeats until both are clear.  A unit pivot, the common case for
-    boundary matrices, divides everything, so the clearing touches only the
-    nonzeros of the pivot row, and in V only the rows that are nonzero in
-    the pivot column.
+    order of the trailing block; the scan walks each row's nonzeros and
+    stops at the first unit.  Rows are cleared below it, then the pivot
+    row right of it, one entry at a time; a gcd step may refill the
+    cleared column, and the step repeats until both are clear.  A column
+    step that the pivot divides leaves column k alone, so it touches only
+    the rows of A and V that are nonzero in column k; for a unit pivot,
+    the common case for boundary matrices, every step is such a step.
     """
     A = [list(row) for row in matrix]
     nrows = len(A)
@@ -376,36 +387,25 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     def nonzero(vec: list[int]) -> list[int]:
         return list(itertools.compress(range(ncols), vec))
 
-    def col_op(i: int, j: int, x: int, y: int, xx: int, yy: int) -> None:
-        # cols_i, cols_j <- x*cols_i + y*cols_j, xx*cols_i + yy*cols_j; rows
-        # of A above k are zero from column k on
-        for row in itertools.chain(A[k:], V):
-            a, b = row[i], row[j]
-            row[i] = x * a + y * b
-            row[j] = xx * a + yy * b
-
     k = 0
     size = min(nrows, ncols)
     while k < size:
         # move a nonzero pivot of minimal magnitude into (k, k); rows from k
         # on are zero left of column k, and no entry is smaller than a unit
-        pivot = None
-        for i in range(k, nrows):
-            units = [A[i].index(u, k) for u in (1, -1) if u in A[i]]
-            if units:
-                pivot = (i, min(units))
+        least = 0
+        for r in range(k, nrows):
+            row = A[r]
+            for c in nonzero(row):
+                if not least or abs(row[c]) < least:
+                    i, j, least = r, c, abs(row[c])
+            if least == 1:
                 break
-        else:
-            for i in range(k, nrows):
-                for j in range(k, ncols):
-                    if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-        if pivot is None:
+        if not least:
             break
-        A[k], A[pivot[0]] = A[pivot[0]], A[k]
-        if pivot[1] != k:
+        A[k], A[i] = A[i], A[k]
+        if j != k:
             for row in itertools.chain(A[k:], V):
-                row[k], row[pivot[1]] = row[pivot[1]], row[k]
+                row[k], row[j] = row[j], row[k]
         while True:
             rk = A[k]
             support = nonzero(rk)
@@ -428,26 +428,25 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
             right = [j for j in support if j > k]
             if not right:
                 break
-            if all(rk[j] % rk[k] == 0 for j in right):
-                # every column operation leaves column k alone, so one pass
-                # over V's rows that are nonzero in column k clears row k
-                qs = [(j, rk[j] // rk[k]) for j in right]
-                for row in V:
-                    if row[k]:
-                        for j, q in qs:
-                            row[j] -= q * row[k]
-                for j in right:
-                    rk[j] = 0
+            # rows of A above k are zero from column k on
+            touched = [row for row in itertools.chain(A[k:], V) if row[k]]
+            refilled = False
+            for j in right:
+                if rk[j] % rk[k] == 0:
+                    q = rk[j] // rk[k]
+                    for row in touched:
+                        row[j] -= q * row[k]
+                else:
+                    # gcd rotation of columns k and j; may refill column k
+                    x, y, g = _xgcd(rk[k], rk[j])
+                    ag, bg = rk[k] // g, rk[j] // g
+                    for row in itertools.chain(A[k:], V):
+                        a, b = row[k], row[j]
+                        row[k], row[j] = x * a + y * b, ag * b - bg * a
+                    touched = [row for row in itertools.chain(A[k:], V) if row[k]]
+                    refilled = True
+            if not refilled:
                 break
-            for j in range(k + 1, ncols):
-                if rk[j]:
-                    if rk[j] % rk[k] == 0:
-                        col_op(k, j, 1, 0, -(rk[j] // rk[k]), 1)
-                    else:
-                        x, y, g = _xgcd(rk[k], rk[j])
-                        ag, bg = rk[k] // g, rk[j] // g
-                        col_op(k, j, x, y, -bg, ag)
-            # column clearing may have refilled the k-th column
         # enforce divisibility d_k | A[i][j] on the trailing block
         if abs(rk[k]) != 1:
             offender = next((i for i in range(k + 1, nrows) if any(a % rk[k] for a in A[i])), None)

@@ -17,7 +17,7 @@ exactly; a construction that misses its target is reported, never accepted.
 
 One SolutionFamily solves b_t = 1, for the generic point and for the
 forced solutions of a good set under pinned parameters.  Both are built by
-forced_solutions, which refuses n above SOLVER_MAX_N.
+forced_solutions, which refuses n above lattice.CHARS_MAX_N.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Iterable
 
 from .adequacy import Collection, _one_face_tetrahedron, enumerate_adequate
 from .lattice import (
+    CHARS_MAX_N,
     Quotient,
     SubLattice,
     boundary_pairs,
@@ -41,21 +42,19 @@ from .triples import TripleSet, all_triples
 from .variety import good_triples
 
 
-#: Largest n the b_t = 1 solver accepts.  The system has n(n+1)/2 unknowns,
-#: so an empty good set in a huge n would exhaust memory.  The full set is
-#: the slowest input: measured on a shared 2-vCPU host it takes 0.03 s at
-#: n = 16, 0.6 s at n = 30 and 8 s at n = 50 (99 MB peak), almost all in
-#: the echelon reduction of its characters, 20825 of them at n = 50.
-SOLVER_MAX_N = 50
-
 #: Largest finite component group, as a product of torsion orders, that is
 #: searched or listed element by element.
 TORSION_SEARCH_LIMIT = 100_000
 
 
 def _check_solver_bound(n: int) -> None:
-    if n > SOLVER_MAX_N:
-        raise ValueError(f"the b_t = 1 solver supports n <= {SOLVER_MAX_N}, got n = {n}")
+    # the system has n(n+1)/2 unknowns, so an empty good set in a huge n
+    # would exhaust memory.  The full set is the slowest input: measured on
+    # a shared 2-vCPU host it takes 0.03 s at n = 16, 0.6 s at n = 30 and
+    # 8 s at n = 50 (99 MB peak), almost all in the echelon reduction of
+    # its characters, 20825 of them at n = 50.
+    if n > CHARS_MAX_N:
+        raise ValueError(f"the b_t = 1 solver supports n <= {CHARS_MAX_N}, got n = {n}")
 
 
 class NotAdequateError(ValueError):
@@ -95,7 +94,7 @@ def realize(C: Collection) -> RealizationResult:
     not character-closed is reported as obstructed, naming the forced planes
     (see generic_point_of_node); a closed set without a generic point, as
     from n = 8 (test_closed_complement_without_generic_point), is reported
-    with the reason.  Raises ValueError when n exceeds SOLVER_MAX_N,
+    with the reason.  Raises ValueError when n exceeds lattice.CHARS_MAX_N,
     checked first so that a huge n fails at once, and NotAdequateError
     when C is not adequate, naming a tetrahedron with exactly one face in C.
     """
@@ -220,8 +219,8 @@ def forced_solutions(
     The normalization typically pins one parameter per degree of freedom of
     the free rescaling torus (e.g. the last column q_in = 1); the result
     then shows whether the remaining solutions are finite and what values
-    they force.  Raises ValueError above SOLVER_MAX_N, before reading the
-    normalization.
+    they force.  Raises ValueError above lattice.CHARS_MAX_N, before
+    reading the normalization.
     """
     n = G.n
     _check_solver_bound(n)
@@ -257,7 +256,7 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     outside it that its character span forces in; a closed set with no
     such character, as from n = 8 (test_closed_complement_without_generic_point),
     raises GenericPointError.  The family comes from forced_solutions with
-    no pins, so n is bounded by SOLVER_MAX_N.
+    no pins, so n is bounded by lattice.CHARS_MAX_N.
     """
     n = closed.n
     family = forced_solutions(closed)

@@ -62,7 +62,10 @@ class Configuration:
 #: Largest n that good_triples and components accept.  The boundary table
 #: of C(n+1, 3) triples sets the cost: an all-ones matrix takes about 1 s
 #: and 85 MB at n = 100, and 8 s and 480 MB at n = 200 (its JSON output
-#: included), growing as n^3.
+#: included), growing as n^3.  A generic matrix, with a fresh generator on
+#: each pair, costs most: pts --json takes about 60 s and 585 MB at n = 200,
+#: nearly all of it in good_triples, whose 1,547 column blocks of 13
+#: generators each scan the live triples again.
 VARIETY_MAX_N = 200
 
 #: Most components that components lists.  Their number can grow

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qpoints
 from conftest import transversal_family
 from qpoints import scalars, variety
-from qpoints.cli import EXIT_BROKEN_PIPE, _build_parser, _json_text, main
+from qpoints.cli import EXIT_BROKEN_PIPE, INPUT_MAX_BYTES, _build_parser, _json_text, main
 from qpoints.gallery import (
     all_ones_matrix,
     block_matrix,
@@ -364,6 +364,21 @@ class TestFileErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
+    def test_oversized_input_exits_3_naming_path_and_size(self, tmp_path, capsys, command):
+        # sparse files of zero bytes: truncate writes no data to disk
+        path, size = tmp_path / "big.json", INPUT_MAX_BYTES + 1
+        path.touch()
+        os.truncate(path, size)
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {path}: {size} bytes, more than the input bound of {INPUT_MAX_BYTES} bytes\n"
+        # at the bound the file is read, and its zero bytes are not JSON
+        os.truncate(path, INPUT_MAX_BYTES)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
 
 
 _PAIR_KEYS = st.one_of(

@@ -1,6 +1,7 @@
 import random
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
@@ -15,6 +16,7 @@ from conftest import (
 from qpoints.adequacy import enumerate_adequate, is_adequate
 from qpoints.degeneration import enumerate_nodes
 from qpoints.lattice import (
+    CHARS_MAX_N,
     SubLattice,
     _closure_label,
     _quartet_add,
@@ -170,6 +172,15 @@ class TestClosure:
         for _ in range(20):
             good = good_triples(random_qmatrix(rng, rng.randint(2, 5)))
             assert closure(good) == good
+
+    def test_refuses_n_above_the_table_bound_before_building_it(self, monkeypatch):
+        def refuse(t, n):
+            pytest.fail("a character built above the table bound")
+
+        monkeypatch.setattr("qpoints.lattice.triple_char", refuse)
+        n = CHARS_MAX_N + 1
+        with pytest.raises(ValueError, match=f"n <= {CHARS_MAX_N}, got n = {n}"):
+            closure(TripleSet(n, 1))
 
 
 class TestQuartetSaturate:
@@ -370,6 +381,11 @@ class TestSparseKernel:
     ))
     @example([[2, 0], [0, 3]])  # d_1 = 1 only after the offender row is added
     @example([[4, 6], [6, 4]])  # gcd rotations on both rows and columns
+    # a divisible column step after a gcd column step in the same pass,
+    # reading rows of V (and of A below the pivot) that the gcd step made
+    # nonzero in the pivot column
+    @example([[2, 3, 4]])
+    @example([[2, 3, 4], [0, 5, 6]])
     def test_random_matrices_smith_form(self, A):
         assert smith_normal_form(A) == dense_smith_normal_form(A)
 
