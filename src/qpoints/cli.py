@@ -10,8 +10,8 @@ rule of this module alone: the library functions take n alone, and
 enumerate --adequate and realize --class never need it.  Exit codes: 0 ok,
 2 parse/usage, --long missing, or a file, stdout included, that cannot be
 read or written, 3 input invariant violation or input beyond a size bound
-(an input file above INPUT_MAX_BYTES = 64 MiB, checked before it is read;
-for pts: n above variety.VARIETY_MAX_N = 200, checked before the matrix
+(an input above INPUT_MAX_BYTES = 64 MiB, a file, a pipe or a device; for
+pts: n above variety.VARIETY_MAX_N = 200, checked before the matrix
 entries are read, or more than variety.COMPONENTS_LIMIT = 100 000
 components), 4 input not adequate, 5 realization failure, 141 stdout
 closed by its reader before all output was written (as in
@@ -126,20 +126,26 @@ def _emit(body: str, args, inputs: tuple[Path, ...] = ()) -> None:
             raise
 
 
-#: Largest input file, in bytes, that pts, realize FILE and forced read;
-#: checked before reading.  The largest inputs these commands accept are
-#: about 2.1 MB (a generic n = 200 matrix, object form, indent=2) and
-#: 0.86 MB (the full n = 50 collection).
+#: Most bytes that pts, realize FILE and forced read from one input, a
+#: file, a pipe or a device alike; checked on the bytes read.  The largest
+#: inputs these commands accept are about 2.1 MB (a generic n = 200
+#: matrix, object form, indent=2) and 0.86 MB (the full n = 50
+#: collection).
 INPUT_MAX_BYTES = 64 * 2**20
 
 
 def _read_text(path: str) -> str:
-    file = Path(path)
-    size = file.stat().st_size
-    if size > INPUT_MAX_BYTES:
-        raise ValueError(f"{path}: {size} bytes, more than the input bound of {INPUT_MAX_BYTES} bytes")
+    """The input file at path, decoded as UTF-8; read in 64 KiB chunks and
+    refused once more than INPUT_MAX_BYTES bytes are held."""
+    chunks, held = [], 0
+    with open(path, "rb") as file:
+        while chunk := file.read(1 << 16):
+            held += len(chunk)
+            if held > INPUT_MAX_BYTES:
+                raise ValueError(f"{path}: more than the input bound of {INPUT_MAX_BYTES} bytes")
+            chunks.append(chunk)
     try:
-        return file.read_text()
+        return b"".join(chunks).decode()
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None
 

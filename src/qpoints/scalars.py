@@ -7,12 +7,13 @@ root of unity of order m ("torsion").  All equality questions the package
 ever asks reduce to identities in this group, so there is no floating point
 anywhere and "generic" simply means "uses a generator nobody else uses".
 
-A matrix is its exponent array, built by its one constructor,
-QMatrix(n, table, entries), from each entry's exponents by name and torsion
-phase: the JSON reader and the solver call it, and good_triples and the
-JSON writer read the rows.  GroupScalar is the parse and print type of one
-entry (parse_scalar, QMatrix.entry, the solutions `forced` prints).  No
-command reaches its arithmetic, kept while perfbench/tracer.py wraps it.
+A matrix is one torsion phase per pair and exponent rows over the named
+generators, built by its one constructor, QMatrix(n, table, entries), from
+each entry's exponents by name and torsion phase: the JSON reader and the
+solver call it, and good_triples and the JSON writer read the arrays.
+GroupScalar is the parse and print type of one entry (parse_scalar,
+QMatrix.entry, the solutions `forced` prints).  No command reaches its
+arithmetic, kept while perfbench/tracer.py wraps it.
 """
 
 from __future__ import annotations
@@ -184,27 +185,22 @@ class GeneratorTable:
                 raise ScalarError(f"bad generator name {g!r}")
         object.__setattr__(self, "names", names)
 
-    @property
-    def _columns(self) -> dict[str, int]:
-        """Column of each generator in a matrix's exponent rows: c for
-        names[c - 1], column 0 being the torsion phase."""
-        return {g: c for c, g in enumerate(self.names, 1)}
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class QMatrix:
     """Multiplicatively antisymmetric (n+1) x (n+1) matrix over the
-    parameter group, held as its exponent array.
+    parameter group, held as its phases and its exponent rows.
 
-    The array has one row per pair i < j, in lexicographic order, with
-    column 0 for the torsion phase (reduced mod the modulus) and column c
-    for the exponent of table.names[c - 1].  Only its nonzero entries are
-    kept, sorted by row and then column: entry k is vals[k] at (rows[k],
-    cols[k]).  vals has the narrowest integer type that holds 3 times the
-    modulus and every entry, so a signed sum of three rows is exact, and
-    holds Python integers (dtype object) beyond int64.  The diagonal is 1
-    and the lower triangle the inverses, by construction; the GroupScalar
-    entries of upper, entry and b are built from the array when asked for.
+    Both have one entry per pair i < j, in lexicographic order.  phases[p]
+    is the torsion phase of the p-th pair, reduced mod the modulus.  The
+    exponent rows have column c for table.names[c], and only their nonzero
+    entries are kept, sorted by row and then column: entry k is vals[k] at
+    (rows[k], cols[k]).  phases has the narrowest integer type that holds
+    3 times the modulus, and vals the narrowest that holds 3 times every
+    entry, so a signed sum of three rows is exact; either holds Python
+    integers (dtype object) beyond int64.  The diagonal is 1 and the lower
+    triangle the inverses, by construction; the GroupScalar entries of
+    upper, entry and b are built from the arrays when asked for.
 
     QMatrix(n, table, entries) is the one constructor (see __post_init__),
     and QMatrix(Q.n, Q.table, Q._entries()) == Q.
@@ -212,6 +208,7 @@ class QMatrix:
 
     n: int
     table: GeneratorTable
+    phases: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -221,51 +218,54 @@ class QMatrix:
 
     def __post_init__(self, n: int, table: GeneratorTable, entries: Mapping) -> None:
         """The row builder that the one constructor, QMatrix(n, table,
-        entries), calls: fill the exponent rows from entries[(i, j)] =
-        (exponents, phase), the exponents a map from generator name to
-        exponent, zeros allowed (pairs raise ScalarError), and the phase an
-        integer taken mod the modulus; a GroupScalar q gives the entry
-        (dict(q.exponents), q.torsion).  The keys must be exactly the pairs
-        i < j and the table must hold every name of a nonzero exponent.  A
-        phase or nonzero exponent that is not a Python int (a float, a bool,
-        a string) raises ScalarError naming its pair, as in the JSON reader."""
+        entries), calls: fill the phases and the exponent rows from
+        entries[(i, j)] = (exponents, phase), the exponents a map from
+        generator name to exponent, zeros allowed (pairs raise
+        ScalarError), and the phase an integer taken mod the modulus; a
+        GroupScalar q gives the entry (dict(q.exponents), q.torsion).  The
+        keys must be exactly the pairs i < j, and the table must hold every
+        name of a nonzero exponent, else TableMismatchError names the pair
+        and the name.  A phase or nonzero exponent that is not a Python int
+        (a float, a bool, a string) raises ScalarError naming its pair, as
+        in the JSON reader."""
         if n < 0:
             raise ScalarError("dimension index must be >= 0")
         # Counting first keeps a huge n from walking its pairs.
         if len(entries) != n * (n + 1) // 2:
             raise ScalarError("upper triangle must hold exactly the pairs i < j")
-        column, modulus = table._columns, table.torsion_modulus
+        column, modulus = {g: c for c, g in enumerate(table.names)}, table.torsion_modulus
+        phases: list[int] = []
         found: list[tuple[int, int, int]] = []
         for p, pair in enumerate(pair_list(n)):
             try:
                 exps, phase = entries[pair]
                 if type(phase) is not int:
                     raise ScalarError(f"phase of pair {pair} must be an integer, got {phase!r}")
-                phase %= modulus
-                if phase:
-                    found.append((p, 0, phase))
+                phases.append(phase % modulus)
                 found += [(p, column[g], e) for g, e in exps.items() if e]
-            except KeyError:
+            except KeyError as exc:
                 if pair not in entries:
                     raise ScalarError("upper triangle must hold exactly the pairs i < j") from None
-                raise TableMismatchError("matrix entry not admitted by generator table") from None
+                raise TableMismatchError(
+                    f"pair {pair} names generator {exc.args[0]!r}, which the generator table does not hold"
+                ) from None
             except AttributeError:
                 raise ScalarError(f"exponents of pair {pair} must map generator names to exponents") from None
         found.sort()  # in linear time when each entry lists its names in table order
         rows, cols, vals = zip(*found) if found else ((), (), ())
         if not set(map(type, vals)) <= {int}:
             p, c, e = next(f for f in found if type(f[2]) is not int)
-            name, pair = table.names[c - 1], pair_list(n)[p]
-            raise ScalarError(f"exponent of {name} in pair {pair} must be an integer, got {e!r}")
-        # the narrowest type holding +-3 times the largest entry, so a sum
-        # of three rows is exact; object (Python integers) beyond int64
-        dtype = np.min_scalar_type(-3 * max([modulus, *map(abs, vals)]))
+            raise ScalarError(f"exponent of {table.names[c]} in pair {pair_list(n)[p]} must be an integer, got {e!r}")
+        # the narrowest signed types holding +-3 times the modulus and +-3
+        # times the largest exponent, so a sum of three entries is exact;
+        # object (Python integers) beyond int64
         for name, value in (
             ("n", n),
             ("table", table),
+            ("phases", np.array(phases, np.min_scalar_type(-3 * modulus))),
             ("rows", np.array(rows, np.intp)),
             ("cols", np.array(cols, np.intp)),
-            ("vals", np.array(vals, dtype)),
+            ("vals", np.array(vals, np.min_scalar_type(-3 * max(map(abs, vals), default=1)))),
         ):
             object.__setattr__(self, name, value)
 
@@ -274,20 +274,20 @@ class QMatrix:
             return NotImplemented
         return (
             (self.n, self.table) == (other.n, other.table)
+            and np.array_equal(self.phases, other.phases)
             and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.cols, other.cols)
             and np.array_equal(self.vals, other.vals)
         )
 
     def _entries(self) -> dict[tuple[int, int], tuple[dict[str, int], int]]:
-        """The constructor's entries, read back from the rows: each pair's
+        """The constructor's entries, read back from the arrays: each pair's
         nonzero exponents by name in table order, and its phase."""
-        keys, pairs = (0, *self.table.names), pair_list(self.n)
+        names, pairs = self.table.names, pair_list(self.n)
         exps: list[dict] = [{} for _ in pairs]
         for p, c, e in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
-            exps[p][keys[c]] = e
-        # a row's phase, column 0, comes first under the key 0 and is popped
-        return {pair: (x, x.pop(0, 0)) for pair, x in zip(pairs, exps)}
+            exps[p][names[c]] = e
+        return dict(zip(pairs, zip(exps, self.phases.tolist())))
 
     @cached_property
     def upper(self) -> dict[tuple[int, int], GroupScalar]:

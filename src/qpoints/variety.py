@@ -3,8 +3,8 @@
 The reduced point variety of such an algebra is a union of coordinate
 subspaces of projective n-space, fully determined by which coordinate planes
 (triples) it contains.  This module computes that triple set from the
-defining matrix in one exact integer pass over an exponent array (the
-obstruction scalar of a triple is a signed sum of the three pair rows that
+defining matrix exactly, from its torsion phases and exponent rows (the
+obstruction scalar of a triple is a signed sum of the three pairs that
 lattice.boundary_pairs names; lattice owns the pair order), enumerates
 the irreducible components (maximal flats) and type vector, and extracts
 the cubic monomial generators of the defining ideal.
@@ -90,28 +90,30 @@ def good_triples(Q: QMatrix) -> TripleSet:
 
     These are exactly the triples with vanishing obstruction scalar
     b_ijk = q_ij * q_jk * q_ik^-1, equivalently the rank-one principal 3x3
-    blocks of Q.  Q is its exponent array (see QMatrix): row p holds the
-    torsion phase and the generator exponents of the p-th pair's entry.
-    b_ijk is row ij + row jk - row ik with the phase reduced mod the
-    torsion modulus, and the triple is good iff that row is zero.  The
-    integer type of Q.vals holds a sum of three entries; entries beyond
-    int64 run the same code on Python integers (dtype object).  Generators
-    are taken in column blocks scattered from the nonzero entries and
-    triples in lexicographic chunks, so no array holds more than about
-    _STEP_ENTRIES entries.  Raises ValueError above VARIETY_MAX_N, before
-    any table is built.
+    blocks of Q.  Q is its phases and exponent rows (see QMatrix), one per
+    pair.  b_ijk is 1 iff its phase, phase ij + phase jk - phase ik, is 0
+    mod the torsion modulus, tested for every triple in one step, and its
+    exponent row, row ij + row jk - row ik, is zero, tested only for the
+    triples whose phase passed.  The integer types of Q.phases and Q.vals
+    hold a sum of three entries; entries beyond int64 run the same code on
+    Python integers (dtype object).  Generators are taken in column blocks
+    scattered from the nonzero entries, skipping blocks that hold none,
+    and triples in lexicographic chunks, so no array beyond the triple
+    table holds more than about _STEP_ENTRIES entries.  Raises ValueError
+    above VARIETY_MAX_N, before any table is built.
     """
     _check_size(Q.n)
-    n, modulus = Q.n, Q.table.torsion_modulus
-    rows, cols, vals = Q.rows, Q.cols, Q.vals
+    n, phases, rows, cols, vals = Q.n, Q.phases, Q.rows, Q.cols, Q.vals
     ij, jk, ik = boundary_pairs(n)
-    good = np.ones(len(ij), dtype=bool)
-    width, pairs = len(Q.table.names) + 1, num_pairs(n)
+    good = (phases[ij] + phases[jk] - phases[ik]) % Q.table.torsion_modulus == 0
+    width, pairs = len(Q.table.names), num_pairs(n)
     block = max(1, _STEP_ENTRIES // max(pairs, 1))
     for c0 in range(0, width, block):
+        inside = (cols >= c0) & (cols < c0 + block)
+        if not inside.any():
+            continue
         c1 = min(c0 + block, width)
         E = np.zeros((pairs, c1 - c0), vals.dtype)
-        inside = (cols >= c0) & (cols < c1)
         E[rows[inside], cols[inside] - c0] = vals[inside]
         live, step = np.flatnonzero(good), max(1, _STEP_ENTRIES // (c1 - c0))
         for r0 in range(0, len(live), step):
@@ -119,8 +121,6 @@ def good_triples(Q: QMatrix) -> TripleSet:
             b = E[ij[r]]
             b += E[jk[r]]
             b -= E[ik[r]]
-            if c0 == 0:
-                b[:, 0] %= modulus
             good[r] = (b == 0).all(axis=1)
     return TripleSet(n, int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little"))
 

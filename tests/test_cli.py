@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qpoints
 from conftest import transversal_family
-from qpoints import scalars, variety
+from qpoints import cli, scalars, variety
 from qpoints.cli import EXIT_BROKEN_PIPE, INPUT_MAX_BYTES, _build_parser, _json_text, main
 from qpoints.gallery import (
     all_ones_matrix,
@@ -374,11 +374,37 @@ class TestFileErrors:
         assert main([command, str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"invalid input: {path}: {size} bytes, more than the input bound of {INPUT_MAX_BYTES} bytes\n"
+        assert captured.err == f"invalid input: {path}: more than the input bound of {INPUT_MAX_BYTES} bytes\n"
         # at the bound the file is read, and its zero bytes are not JSON
         os.truncate(path, INPUT_MAX_BYTES)
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+    @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
+    def test_endless_device_exits_3_once_past_the_bound(self, monkeypatch, capsys, command):
+        # a device reports size 0, so only the bytes read can bound it
+        monkeypatch.setattr(cli, "INPUT_MAX_BYTES", 1000)
+        assert main([command, "/dev/zero"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "invalid input: /dev/zero: more than the input bound of 1000 bytes\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_up_to_the_bound(self, monkeypatch, capsys):
+        # both writes fit the pipe's buffer, so no writer thread is needed
+        monkeypatch.setattr(cli, "INPUT_MAX_BYTES", 1000)
+        text = p3_two_planes_matrix().to_json().encode()
+        for padding, code in ((1000 - len(text), 0), (1001 - len(text), 3)):
+            read_end, write_end = os.pipe()
+            os.write(write_end, text + b" " * padding)
+            os.close(write_end)
+            try:
+                assert main(["pts", f"/dev/fd/{read_end}"]) == code
+            finally:
+                os.close(read_end)
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == (code != 0)
 
 
 _PAIR_KEYS = st.one_of(

@@ -316,7 +316,7 @@ class TestGenericPoint:
             outcome = generic_point_outcome(generic_point_of_node, closed)
             assert outcome == generic_point_outcome(full_image_generic_point, closed)
             kinds[outcome[0]] += 1
-            phased += outcome[0] == "matrix" and 0 in outcome[1].cols
+            phased += outcome[0] == "matrix" and outcome[1].phases.any()
         assert set(kinds) == {"matrix", "not closed", "no generic point"}
         assert phased  # the torsion path writes phases too
 

@@ -3,10 +3,11 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import instantiate, prime_assignment, qmatrix_of_scalars, random_qmatrix, rational_b
+from conftest import instantiate, is_rank_one, prime_assignment, qmatrix_of_scalars, random_qmatrix, rational_b
 from qpoints.gallery import all_ones_matrix, p3_two_planes_matrix, sign_matrix
 from qpoints.scalars import (
     GeneratorTable,
@@ -189,6 +190,7 @@ class TestQMatrix:
             Q = random_qmatrix(rng, rng.randint(0, 5), torsion)
             entries = Q._entries()
             assert QMatrix(Q.n, Q.table, entries) == Q
+            assert all(0 <= c < len(Q.table.names) for c in Q.cols.tolist())  # generator columns only
             assert all(0 not in x.values() for x, _ in entries.values())
             assert {f"{i},{j}": x for (i, j), (x, _) in entries.items()} == {
                 key: value["exponents"] for key, value in Q.to_json_dict()["upper"].items()
@@ -202,6 +204,27 @@ class TestQMatrix:
         assert Q.vals.dtype == object
         assert Q._entries() == entries
         assert QMatrix(Q.n, Q.table, Q._entries()) == Q
+
+    def test_phases_beyond_int64_beside_narrow_exponents(self, rng):
+        # phases need Python integers while exponents fit in int8; some
+        # planes are good through phases that sum to the modulus
+        m = 2**70 + 1
+        table = GeneratorTable(("a", "unused", "b"), m)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            potential = [rng.randrange(m) for _ in range(n + 1)]
+            entries = {
+                (i, j): (
+                    {g: rng.randint(-2, 2) for g in ("a", "b") if rng.random() < 0.2},
+                    potential[j] - potential[i] + (m * rng.randint(-2, 2) if rng.random() < 0.8 else rng.randrange(m)),
+                )
+                for i, j in itertools.combinations(range(n + 1), 2)
+            }
+            Q = QMatrix(n, table, entries)
+            assert (Q.phases.dtype, Q.vals.dtype) == (np.dtype(object), np.dtype(np.int8))
+            assert QMatrix(Q.n, Q.table, Q._entries()) == Q
+            assert qmatrix_from_json(Q.to_json()) == Q
+            assert good_triples(Q) == TripleSet.of(n, (t for t in all_triples(n) if is_rank_one(Q, t)))
 
     def test_str_prints_the_full_matrix(self):
         # the diagonal is 1 and the lower triangle holds the inverses
@@ -220,6 +243,12 @@ class TestQMatrix:
         with pytest.raises(TableMismatchError):
             qmatrix_of_scalars(2, upper, table)
 
+
+    def test_mismatch_names_the_pair_and_the_generator(self):
+        entries = {(0, 1): ({"a": 1}, 0), (0, 2): ({"a": 1, "q": 2}, 1), (1, 2): ({}, 0)}
+        message = "pair (0, 2) names generator 'q', which the generator table does not hold"
+        with pytest.raises(TableMismatchError, match=re.escape(message)):
+            QMatrix(2, GeneratorTable(("a",), 2), entries)
 
 class TestInstantiate:
     def test_direct_substitution(self):

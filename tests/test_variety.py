@@ -150,6 +150,32 @@ class TestGoodTriples:
         assert good_triples(Q) == oracle_good_triples(Q)
         assert good_triples(Q) == TripleSet.of(3, [(1, 2, 3)])
 
+    def test_unused_names_scatter_no_block(self, monkeypatch):
+        # names that no entry uses, interleaved among the used ones, leave
+        # the good set as it is, and with one column per block only the
+        # columns some entry uses are scattered
+        rng = random.Random(63)
+        matrices = [random_qmatrix(rng, n) for n in range(2, 8)]
+        matrices += [random_structured_qmatrix(rng, n) for n in range(2, 8)]
+        expected = [good_triples(Q) for Q in matrices]
+        padded = []
+        for Q in matrices:
+            names = [x for k, g in enumerate(Q.table.names) for x in (f"unused{k}", g, f"unused{k}_")]
+            padded.append(QMatrix(Q.n, GeneratorTable(tuple(names), Q.table.torsion_modulus), Q._entries()))
+        scattered = []
+        zeros = variety.np.zeros
+
+        def counted_zeros(*args, **kwargs):
+            scattered.append(args[0])
+            return zeros(*args, **kwargs)
+
+        monkeypatch.setattr(variety, "_STEP_ENTRIES", 1)
+        monkeypatch.setattr(variety.np, "zeros", counted_zeros)
+        for Q, good in zip(padded, expected):
+            scattered.clear()
+            assert good_triples(Q) == good
+            assert len(scattered) == len(set(Q.cols.tolist())) < len(Q.table.names)
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_smallest_dimensions(self, n):
         assert good_triples(QMatrix.ones(n)) == TripleSet.full(n)
