@@ -380,7 +380,6 @@ class TestFileErrors:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
 
-
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
     @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
     def test_endless_device_exits_3_once_past_the_bound(self, monkeypatch, capsys, command):

@@ -243,12 +243,12 @@ class TestQMatrix:
         with pytest.raises(TableMismatchError):
             qmatrix_of_scalars(2, upper, table)
 
-
     def test_mismatch_names_the_pair_and_the_generator(self):
         entries = {(0, 1): ({"a": 1}, 0), (0, 2): ({"a": 1, "q": 2}, 1), (1, 2): ({}, 0)}
         message = "pair (0, 2) names generator 'q', which the generator table does not hold"
         with pytest.raises(TableMismatchError, match=re.escape(message)):
             QMatrix(2, GeneratorTable(("a",), 2), entries)
+
 
 class TestInstantiate:
     def test_direct_substitution(self):
