@@ -4,14 +4,16 @@ Given an adequate collection of excluded planes, build a commutation matrix
 whose point variety excludes exactly those planes.  The good-triple set of
 any matrix is closed under the integer span of its characters, so a
 collection is realizable only when its complement is closed; otherwise the
-planes the span forces back in are reported as the obstruction.  Each
-excluded plane is screened on the free columns of the quotient by the
-span, and its full image is formed only when its free part vanishes.  A
-closed complement is realized by its generic point when it has one: the
-character equations are solved over the exponent lattice, with fresh
-generators for the free directions and a torsion character chosen to keep
-every excluded plane obstructed.  From n = 8 a closed complement can lack
-one, and realize reports that (exit 5 in the CLI; see test_realize.py's
+planes the span forces back in are reported as the obstruction.  The
+excluded planes are screened by one good-triple check of the point with
+the trivial torsion character: it keeps exactly the planes whose image in
+the quotient by the span vanishes on the free columns, and only their
+full images are formed.  A closed complement is realized by its generic
+point when it has one: the character equations are solved over the
+exponent lattice, with fresh generators for the free directions and a
+torsion character chosen to keep every excluded plane obstructed.  From
+n = 8 a closed complement can lack one, and realize reports that (exit 5
+in the CLI; see test_realize.py's
 test_closed_complement_without_generic_point).  Every result is verified
 exactly; a construction that misses its target is reported, never accepted.
 
@@ -28,17 +30,9 @@ from math import lcm, prod
 from typing import Iterable
 
 from .adequacy import Collection, _one_face_tetrahedron, enumerate_adequate
-from .lattice import (
-    CHARS_MAX_N,
-    Quotient,
-    SubLattice,
-    boundary_pairs,
-    num_pairs,
-    pair_list,
-    triple_chars,
-)
+from .lattice import CHARS_MAX_N, Quotient, pair_index, pair_list, span
 from .scalars import GeneratorTable, GroupScalar, QMatrix
-from .triples import TripleSet, all_triples
+from .triples import TripleSet
 from .variety import good_triples
 
 
@@ -224,7 +218,6 @@ def forced_solutions(
     """
     n = G.n
     _check_solver_bound(n)
-    P = num_pairs(n)
     norm: list[tuple[int, int]] = []
     for pair in normalization:
         i, j = int(pair[0]), int(pair[1])
@@ -233,12 +226,10 @@ def forced_solutions(
         if (i, j) in norm:
             raise ValueError(f"duplicate normalization pair {pair!r}")
         norm.append((i, j))
-    chars = triple_chars(n)
-    rows = itertools.chain(
-        (chars[t] for t in G),
-        ([int(q == pair) for q in pair_list(n)] for pair in norm),
-    )
-    return SolutionFamily(n, SubLattice.span(rows, P).quotient())
+    lat = span(G)
+    for pair in norm:
+        lat.add([int(q == pair) for q in pair_list(n)])
+    return SolutionFamily(n, lat.quotient())
 
 
 def generic_point_of_node(closed: TripleSet) -> QMatrix:
@@ -248,58 +239,55 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     lattice by the closed set's span: free degrees of freedom become fresh
     generators g1, g2, ... in ascending column order, and the finite
     component group is searched for a character that keeps every triple
-    outside the closed set obstructed.  Each outside triple is screened on
-    the free columns first: its full image, with the torsion columns, is
-    formed only when its free part vanishes, since only then can it be
-    zero or need a torsion character.  The result is verified exactly.  A
-    set that is not closed raises NotClosedError, naming the triples
-    outside it that its character span forces in; a closed set with no
-    such character, as from n = 8 (test_closed_complement_without_generic_point),
-    raises GenericPointError.  The family comes from forced_solutions with
+    outside the closed set obstructed.  The point with the trivial
+    character is built first, and its good set is the screen: it holds
+    exactly the triples whose image vanishes on the free columns, the
+    closed set's rational closure.  Only the triples it adds to the closed
+    set can be zero or need a torsion character, so only their full images
+    are formed, and the point is rebuilt only for a nontrivial character.
+    The result is verified exactly.  A set that is not closed raises
+    NotClosedError, naming the triples outside it that its character span
+    forces in; a closed set with no such character, as from n = 8
+    (test_closed_complement_without_generic_point), raises
+    GenericPointError.  The family comes from forced_solutions with
     no pins, so n is bounded by lattice.CHARS_MAX_N.
     """
-    n = closed.n
     family = forced_solutions(closed)
     quotient = family.quotient
-    # images of the characters outside the closed set, each the boundary
-    # e_ij + e_jk - e_ik read as V[ij] + V[jk] - V[ik]: those that are zero
-    # are forced into it; the others zero on the free columns lie in a
-    # torsion coset of the span, and only a torsion character can obstruct
-    # them
-    V, free = quotient.V, quotient.free
-    ij, jk, ik = (a.tolist() for a in boundary_pairs(n))
-    forced, free_zero_outside = [], []
-    for b, t in enumerate(all_triples(n)):
-        if closed.mask >> b & 1:
-            continue
-        # most images are nonzero on a free column, which obstructs the
-        # triple whatever the torsion character
-        u, v, w = V[ij[b]], V[jk[b]], V[ik[b]]
-        if any(u[x] + v[x] - w[x] for x in free):
-            continue
-        z = [p + q - r for p, q, r in zip(u, v, w)]
+    gens = {i: f"g{k}" for k, i in enumerate(quotient.free, 1)}
+    Q = family.point((), gens)
+    achieved = good_triples(Q)
+    # the triples achieved outside the closed set are those its span
+    # forces in, whose image is zero, and those whose image is pure
+    # torsion, which only a torsion character can obstruct; each image is
+    # the boundary e_ij + e_jk - e_ik read as V[ij] + V[jk] - V[ik]
+    V, idx = quotient.V, pair_index(closed.n)
+    forced, torsion_coset = [], []
+    for i, j, k in achieved - closed:
+        z = [p + q - r for p, q, r in zip(V[idx[i, j]], V[idx[j, k]], V[idx[i, k]])]
         if quotient.is_zero(z):
-            forced.append(t)
+            forced.append((i, j, k))
         else:
-            free_zero_outside.append(z)
+            torsion_coset.append(z)
     if forced:
         raise NotClosedError(forced)
-    # choose a torsion character separating every remaining outside triple
+    # choose a torsion character separating every torsion-coset triple
     try:
         candidates = family.characters()
     except ValueError as exc:
         raise GenericPointError(f"component group too large to search: {exc}") from None
     choice = next(
-        (cand for cand in candidates if all(family.phase(cand, z) for z in free_zero_outside)),
+        (cand for cand in candidates if all(family.phase(cand, z) for z in torsion_coset)),
         None,
     )
     if choice is None:
         raise GenericPointError(
             "no torsion character separates the closed set; "
-            f"{len(free_zero_outside)} torsion-coset triples obstruct"
+            f"{len(torsion_coset)} torsion-coset triples obstruct"
         )
-    Q = family.point(choice, {i: f"g{k}" for k, i in enumerate(quotient.free, 1)})
-    achieved = good_triples(Q)
+    if any(choice):
+        Q = family.point(choice, gens)
+        achieved = good_triples(Q)
     if achieved != closed:
         raise GenericPointError(
             f"verification failed: achieved {achieved}, wanted {closed}"

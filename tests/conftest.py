@@ -510,7 +510,8 @@ def full_image_generic_point(closed: TripleSet) -> QMatrix:
     """Reference copy of generic_point_of_node that forms the full image
     V[ij] + V[jk] - V[ik] of every excluded plane before testing it, and
     writes every free column of every pair, zeros included, with the phase
-    of the chosen character (oracle for the screened solve)."""
+    of the chosen character (oracle for the solve whose screen is the good
+    set of the trivial-character point)."""
     n = closed.n
     family = forced_solutions(closed)
     quotient = family.quotient

@@ -6,13 +6,14 @@ import json
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import apply_perm, full_image_generic_point
 from qpoints.adequacy import enumerate_adequate, is_adequate, is_dense
 from qpoints.cli import main
-from qpoints.lattice import closure, quartet_saturate
+from qpoints.lattice import closure, quartet_saturate, traverse
 from qpoints.gallery import (
     block_matrix,
     p3_two_planes_collection,
@@ -28,6 +29,7 @@ from qpoints.realize import (
     NotAdequateError,
     NotClosedError,
     RealizationResult,
+    forced_solutions,
     generic_point_of_node,
     realize,
     realize_all,
@@ -74,6 +76,37 @@ def second_obstruction_node() -> TripleSet:
     """The n = 8 closed set with no generic point: the closure of the three
     relabelings of RP^2."""
     return closure(TripleSet.of(8, [tuple(sorted(m[v] for v in t)) for m in RP2_RELABELINGS for t in RP2]))
+
+
+def rational_closure(K: TripleSet) -> TripleSet:
+    """K plus every triple whose character is a rational combination of K's
+    characters, by Fraction elimination over plain character vectors."""
+    pairs = list(itertools.combinations(range(K.n + 1), 2))
+
+    def char(t):
+        i, j, k = t
+        return [Fraction((p == (i, j)) + (p == (j, k)) - (p == (i, k))) for p in pairs]
+
+    # pivot column -> row that is 1 there and 0 at every other pivot
+    basis: dict[int, list[Fraction]] = {}
+
+    def reduce(v):
+        for c, row in basis.items():
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    for t in K:
+        v = reduce(char(t))
+        c = next((c for c, a in enumerate(v) if a), None)
+        if c is not None:
+            v = [a / v[c] for a in v]
+            for d, row in basis.items():
+                f = row[c]
+                basis[d] = [a - f * b for a, b in zip(row, v)]
+            basis[c] = v
+    return K | [t for t in all_triples(K.n) if t not in K and not any(reduce(char(t)))]
 
 
 def generic_point_outcome(solve, closed: TripleSet) -> tuple:
@@ -295,8 +328,7 @@ class TestGenericPoint:
         def refuse(n):
             pytest.fail("characters built above the solver bound")
 
-        for module in ("qpoints.lattice", "qpoints.realize"):
-            monkeypatch.setattr(importlib.import_module(module), "triple_chars", refuse)
+        monkeypatch.setattr(importlib.import_module("qpoints.lattice"), "triple_chars", refuse)
         with pytest.raises(ValueError, match="n <= 50, got n = 51"):
             generic_point_of_node(TripleSet.full(51))
 
@@ -319,6 +351,32 @@ class TestGenericPoint:
             phased += outcome[0] == "matrix" and outcome[1].phases.any()
         assert set(kinds) == {"matrix", "not closed", "no generic point"}
         assert phased  # the torsion path writes phases too
+
+    def test_trivial_character_point_is_the_rational_closure(self):
+        # the screen of generic_point_of_node: with the trivial torsion
+        # character, a triple is good exactly when its character lies in the
+        # rational span of the set's characters, closed or not
+        sets = [TripleSet(n, mask) for n in range(6) for mask in traverse(n)[0]]
+        sets += [C.complement() for n in (6, 7, 8) for C in beyond_catalog_draws(n)]
+        sets.append(second_obstruction_node())
+        for K in sets:
+            family = forced_solutions(K)
+            gens = {i: f"g{k}" for k, i in enumerate(family.quotient.free, 1)}
+            assert good_triples(family.point((), gens)) == rational_closure(K)
+        assert sum(closure(K) != K for K in sets[:199]) == 1  # class 106
+        assert len(rational_closure(sets[-1]) - sets[-1]) == 37
+
+    def test_one_good_set_check_unless_the_character_is_nontrivial(self, monkeypatch):
+        # the trivial-character point is the screen of every n = 5 class and
+        # the result of all but the torsion class, which builds a second one
+        calls = []
+        monkeypatch.setattr(
+            importlib.import_module("qpoints.realize"),
+            "good_triples",
+            lambda Q: calls.append(Q) or good_triples(Q),
+        )
+        assert sum(r.success for r in realize_all(5)) == 174
+        assert len(calls) == 176
 
     def test_deterministic(self):
         a = generic_point_of_node(TripleSet.full(4))

@@ -160,7 +160,7 @@ def pair_layouts(tree: ast.AST) -> list[int]:
 
 def test_pair_order_laid_out_only_in_lattice():
     # lattice owns the torus coordinates: matrix rows walk pair_list, and
-    # good triples and the generic point read boundary_pairs
+    # good triples read boundary_pairs and the generic point pair_index
     package = Path(qpoints.__file__).parent
     found = [
         f"{path.name}:{line}"
@@ -287,3 +287,23 @@ def test_readme_lists_every_cli_option():
         for name, sub in subparsers.choices.items()
     }
     assert listed == accepted
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python the package supports; this
+    # checks syntax only, not the library calls a module makes
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+
+    def parses(text: str) -> bool:
+        try:
+            ast.parse(text, feature_version=floor)
+        except SyntaxError:
+            return False
+        return True
+
+    sources = sorted(path for top in ("src/qpoints", "tests", "perfbench") for path in (root / top).rglob("*.py"))
+    assert len(sources) > 20
+    assert [str(path.relative_to(root)) for path in sources if not parses(path.read_text())] == []
+    assert floor == (3, 10) and not parses("try:\n    pass\nexcept* ValueError:\n    pass\n")
