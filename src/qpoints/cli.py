@@ -8,15 +8,17 @@ F.manifest.json; their summary line always goes to stdout.  Node
 enumeration at N = 5 (enumerate --nodes, graph, sinks) needs --long, a
 rule of this module alone: the library functions take n alone, and
 enumerate --adequate and realize --class never need it.  Exit codes: 0 ok,
-2 parse/usage, --long missing, or a file, stdout included, that cannot be
-read or written, 3 input invariant violation or input beyond a size bound
-(an input above INPUT_MAX_BYTES = 64 MiB, a file, a pipe or a device; for
-pts: n above variety.VARIETY_MAX_N = 200, checked before the matrix
-entries are read, or more than variety.COMPONENTS_LIMIT = 100 000
-components), 4 input not adequate, 5 realization failure, 141 stdout
-closed by its reader before all output was written (as in
-`qpoints graph 5 --long --json | head`): the command ends quietly, with
-the code a shell reports for a writer killed by SIGPIPE.
+2 parse/usage (as an input file that scalars._json_value, the one JSON
+decoder, finds malformed or too deeply nested), --long missing, or a file,
+stdout included, that cannot be read or written, 3 input invariant
+violation or input beyond a size bound (an input above INPUT_MAX_BYTES =
+64 MiB, a file, a pipe or a device; for realize and forced: n above
+lattice.CHARS_MAX_N = 50; for pts: n above variety.VARIETY_MAX_N = 200,
+checked before the matrix entries are read, or more than
+variety.COMPONENTS_LIMIT = 100 000 components), 4 input not adequate, 5
+realization failure, 141 stdout closed by its reader before all output was
+written (as in `qpoints graph 5 --long --json | head`): the command ends
+quietly, with the code a shell reports for a writer killed by SIGPIPE.
 
 main(argv) may be called repeatedly in one process: the argument parser is
 built on the first call and never changed after, so each call answers as it
@@ -47,7 +49,7 @@ from .degeneration import (
     to_dot,
 )
 from .realize import NotAdequateError, forced_solutions, realize, realize_all
-from .scalars import MatrixFormatError, ScalarError, _json_int, _matrix_json, qmatrix_from_json_dict
+from .scalars import MatrixFormatError, ScalarError, _json_int, _json_value, qmatrix_from_json_dict
 from .triples import TripleSet
 from .variety import _check_size, components, good_triples, ideal_generators
 
@@ -151,7 +153,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_collection(path: str) -> TripleSet:
-    data = json.loads(_read_text(path))
+    data = _json_value(_read_text(path))
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
         raise MatrixFormatError("collection JSON must have keys n and triples")
     if not isinstance(data["triples"], list):
@@ -172,10 +174,10 @@ def _fmt_triple(t) -> str:
 
 
 def cmd_pts(args) -> int:
-    data = _matrix_json(_read_text(args.matrix))
-    # the size bound before the reader expands upper into exponent rows; an
-    # n that is not a JSON integer is left for the reader to name
-    if type(data.get("n")) is int:
+    data = _json_value(_read_text(args.matrix))
+    # the size bound before the reader expands upper into exponent rows; the
+    # reader names a file that is not an object or an n that is no JSON integer
+    if isinstance(data, dict) and type(data.get("n")) is int:
         _check_size(data["n"])
     Q = qmatrix_from_json_dict(data)
     good = good_triples(Q)
@@ -387,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader is gone
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
-    except (json.JSONDecodeError, MatrixFormatError) as exc:
+    except MatrixFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

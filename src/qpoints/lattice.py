@@ -9,6 +9,7 @@ such as sign matrices distinguishable from the identity component.
 This module alone lays out the coordinates: pair_list is the pair order
 of matrix rows, pair_index its inverse, and boundary_pairs the (ij, jk,
 ik) table of every triple that good_triples and the generic point read.
+Its _check_chars_bound is the one check of n against CHARS_MAX_N.
 
 The lattice is read as homology.  For a triple set K, let X_K be the
 2-complex on the n + 1 coordinates with every edge and the triangles of
@@ -70,10 +71,11 @@ def num_pairs(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def boundary_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair indices (ij, jk, ik) of every triple, in lexicographic order."""
+    """Pair indices (ij, jk, ik) of every triple, lexicographic, with no tuple of triples held."""
     pair = np.zeros((n + 1, n + 1), dtype=np.intp)
     pair[np.triu_indices(n + 1, 1)] = np.arange(num_pairs(n))
-    i, j, k = np.array(all_triples(n), dtype=np.intp).reshape(-1, 3).T
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n + 1), 3))
+    i, j, k = np.fromiter(flat, np.intp, 3 * num_triples(n)).reshape(-1, 3).T
     return pair[i, j], pair[j, k], pair[i, k]
 
 
@@ -88,10 +90,16 @@ def triple_char(t: Triple, n: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-#: Largest n whose character table is built: C(n+1, 3) rows of C(n+1, 2)
-#: bytes, 28 MB at n = 50, 841 MB at n = 100 and 27 GB at n = 200.  It is
-#: the bound of the b_t = 1 solver too, and so of realize and forced.
+#: Largest n of the character table, C(n+1, 3) rows of C(n+1, 2) bytes (28 MB
+#: at n = 50, 27 GB at n = 200), and of the b_t = 1 solver of realize and
+#: forced: its slowest input, the full set, takes 0.03 s at n = 16, 0.6 s at
+#: n = 30 and 8 s at n = 50 (99 MB peak) on a shared 2-vCPU host.
 CHARS_MAX_N = 50
+
+
+def _check_chars_bound(n: int) -> None:
+    if n > CHARS_MAX_N:
+        raise ValueError(f"the character lattice supports n <= {CHARS_MAX_N}, got n = {n}")
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +107,7 @@ def triple_chars(n: int) -> dict[Triple, array]:
     """Characters of all triples of dimension n, in lexicographic order, as
     signed bytes (tuples would take 213 MB at n = 50).  Raises ValueError
     above CHARS_MAX_N, before building any."""
-    if n > CHARS_MAX_N:
-        raise ValueError(f"the character table is built for n <= {CHARS_MAX_N}, got n = {n}")
+    _check_chars_bound(n)
     return {t: array("b", triple_char(t, n)) for t in all_triples(n)}
 
 

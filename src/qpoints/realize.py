@@ -19,7 +19,7 @@ exactly; a construction that misses its target is reported, never accepted.
 
 One SolutionFamily solves b_t = 1, for the generic point and for the
 forced solutions of a good set under pinned parameters.  Both are built by
-forced_solutions, which refuses n above lattice.CHARS_MAX_N.
+forced_solutions; it and realize check n first, by lattice._check_chars_bound.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import lcm, prod
 from typing import Iterable
 
 from .adequacy import Collection, _one_face_tetrahedron, enumerate_adequate
-from .lattice import CHARS_MAX_N, Quotient, pair_index, pair_list, span
+from .lattice import Quotient, _check_chars_bound, pair_index, pair_list, span
 from .scalars import GeneratorTable, GroupScalar, QMatrix
 from .triples import TripleSet
 from .variety import good_triples
@@ -39,16 +39,6 @@ from .variety import good_triples
 #: Largest finite component group, as a product of torsion orders, that is
 #: searched or listed element by element.
 TORSION_SEARCH_LIMIT = 100_000
-
-
-def _check_solver_bound(n: int) -> None:
-    # the system has n(n+1)/2 unknowns, so an empty good set in a huge n
-    # would exhaust memory.  The full set is the slowest input: measured on
-    # a shared 2-vCPU host it takes 0.03 s at n = 16, 0.6 s at n = 30 and
-    # 8 s at n = 50 (99 MB peak), almost all in the echelon reduction of
-    # its characters, 20825 of them at n = 50.
-    if n > CHARS_MAX_N:
-        raise ValueError(f"the b_t = 1 solver supports n <= {CHARS_MAX_N}, got n = {n}")
 
 
 class NotAdequateError(ValueError):
@@ -92,7 +82,7 @@ def realize(C: Collection) -> RealizationResult:
     checked first so that a huge n fails at once, and NotAdequateError
     when C is not adequate, naming a tetrahedron with exactly one face in C.
     """
-    _check_solver_bound(C.n)
+    _check_chars_bound(C.n)
     witness = _one_face_tetrahedron(C)
     if witness is not None:
         tetrahedron, face = (",".join(map(str, s)) for s in witness)
@@ -217,7 +207,7 @@ def forced_solutions(
     reading the normalization.
     """
     n = G.n
-    _check_solver_bound(n)
+    _check_chars_bound(n)
     norm: list[tuple[int, int]] = []
     for pair in normalization:
         i, j = int(pair[0]), int(pair[1])

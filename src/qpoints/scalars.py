@@ -371,6 +371,8 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
     MatrixFormatError; a value the parameter group cannot hold raises
     ScalarError.  Without a generators list, the table is the sorted names
     of the nonzero exponents."""
+    if not isinstance(data, Mapping):
+        raise MatrixFormatError("matrix JSON must be an object")
     try:
         n, raw_upper = data["n"], data["upper"]
     except KeyError as exc:
@@ -415,16 +417,14 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
     return QMatrix(n, GeneratorTable(tuple(names), modulus), entries)
 
 
-def _matrix_json(text: str) -> dict:
-    """The decoded JSON object of a matrix file, its fields not yet read."""
+def _json_value(text: str) -> object:
+    """The decoded JSON of an input file, by the one decoder: malformed or
+    too deeply nested text raises MatrixFormatError("invalid JSON: ...")."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MatrixFormatError("matrix JSON must be an object")
-    return data
 
 
 def qmatrix_from_json(text: str) -> QMatrix:
-    return qmatrix_from_json_dict(_matrix_json(text))
+    return qmatrix_from_json_dict(_json_value(text))

@@ -365,6 +365,26 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: {path}: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("pts", "[" * 200_000),
+            ("realize", "[" * 200_000),
+            ("forced", "[" * 200_000),
+            ("pts", '{"n": 1, "upper": {"0,1": ' + "[" * 200_000 + "]" * 200_000 + "}}"),
+        ],
+        ids=["pts", "realize", "forced", "pts-nested-entry"],
+    )
+    def test_deeply_nested_input_exits_2(self, tmp_path, capsys, command, text):
+        # the decoder recurses once per level, so nesting past the
+        # interpreter's recursion limit is invalid JSON, not a traceback
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: invalid JSON") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
     def test_oversized_input_exits_3_naming_path_and_size(self, tmp_path, capsys, command):
         # sparse files of zero bytes: truncate writes no data to disk

@@ -1,6 +1,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from qpoints.lattice import (
     SubLattice,
     _closure_label,
     _quartet_add,
+    boundary_pairs,
     closure,
     node_label,
     num_pairs,
@@ -73,6 +75,15 @@ class TestTripleChar:
         expected = {idx[(1, 3)]: 1, idx[(3, 5)]: 1, idx[(1, 5)]: -1}
         for i, value in enumerate(v):
             assert value == expected.get(i, 0)
+
+    def test_boundary_pairs_are_read_off_all_triples(self):
+        # the table is built without the tuple of all triples, in its order
+        for n in range(13):
+            idx = pair_index(n)
+            rows = [(idx[i, j], idx[j, k], idx[i, k]) for i, j, k in all_triples(n)]
+            assert [a.tolist() for a in boundary_pairs(n)] == [[r[c] for r in rows] for c in range(3)]
+            assert all(a.dtype == np.intp and len(a) == num_triples(n) for a in boundary_pairs(n))
+        assert all(len(a) == 0 for n in (0, 1) for a in boundary_pairs(n))
 
 
 class TestSpan:
