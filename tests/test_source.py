@@ -197,31 +197,6 @@ def test_torsion_limit_read_only_by_solution_family():
     assert readers == {"realize.SolutionFamily.characters"}, readers
 
 
-def test_each_input_limit_read_in_one_place():
-    # lattice alone compares n with the character-lattice bound, and one
-    # decoder reads every input file's JSON, so neither decision has a
-    # second copy with its own message or its own failure
-    package = Path(qpoints.__file__).parent
-    readers, decoders = set(), set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name == "CHARS_MAX_N" and isinstance(child.ctx, ast.Load):
-                readers.add(".".join((path.stem,) + scope))
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in ("json.loads", "json.load", "loads"):
-                decoders.add(".".join((path.stem,) + scope))
-            visit(child, scope)
-
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), ())
-    assert readers == {"lattice._check_chars_bound"}, readers
-    assert decoders == {"scalars._json_value"}, decoders
-
-
 def calling_scopes(name: str) -> set[str]:
     """module.function (or module.Class.method) of every call to name in
     the package; a call at module level is named by the module alone."""
@@ -242,6 +217,30 @@ def calling_scopes(name: str) -> set[str]:
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), ())
     return found
+
+
+def test_each_input_limit_read_in_one_place():
+    # lattice alone compares n with the character-lattice bound, and one
+    # decoder reads every input file's JSON, so neither decision has a
+    # second copy with its own message or its own failure
+    package = Path(qpoints.__file__).parent
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name == "CHARS_MAX_N" and isinstance(child.ctx, ast.Load):
+                readers.add(".".join((path.stem,) + scope))
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), ())
+    assert readers == {"lattice._check_chars_bound"}, readers
+    assert calling_scopes("loads") == {"scalars._json_value"}
+    assert calling_scopes("load") == set()
 
 
 def test_sweep_is_only_a_reference():
