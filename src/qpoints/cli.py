@@ -49,7 +49,7 @@ from .degeneration import (
     to_dot,
 )
 from .realize import NotAdequateError, forced_solutions, realize, realize_all
-from .scalars import MatrixFormatError, ScalarError, _json_int, _json_value, qmatrix_from_json_dict
+from .scalars import MatrixFormatError, ScalarError, _json_int, _json_value, _shown, qmatrix_from_json_dict
 from .triples import TripleSet
 from .variety import _check_size, components, good_triples, ideal_generators
 
@@ -161,7 +161,7 @@ def _load_collection(path: str) -> TripleSet:
     triples = []
     for entry in data["triples"]:
         if not isinstance(entry, list) or len(entry) != 3:
-            raise MatrixFormatError(f"triple must have three indices: {entry!r}")
+            raise MatrixFormatError(f"triple must have three indices: {_shown(entry)}")
         triples.append(tuple(sorted(_json_int(v, "triple index") for v in entry)))
     n = _json_int(data["n"], "n")
     if n < 0:

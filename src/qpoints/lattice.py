@@ -7,8 +7,8 @@ compared through the integer span of their characters; membership is exact
 integer membership (no saturation), which is what keeps torsion solutions
 such as sign matrices distinguishable from the identity component.
 This module alone lays out the coordinates: pair_list is the pair order
-of matrix rows, pair_index its inverse, and boundary_pairs the (ij, jk,
-ik) table of every triple that good_triples and the generic point read.
+of matrix rows, and boundary_pairs the (ij, jk, ik) table of every
+triple, which good_triples, the generic point and _boundary_char read.
 Its _check_chars_bound is the one check of n against CHARS_MAX_N.
 
 The lattice is read as homology.  For a triple set K, let X_K be the
@@ -50,7 +50,7 @@ from math import comb
 
 import numpy as np
 
-from .triples import Triple, TripleSet, all_triples, check_triple, mask_images, num_triples, quartet_masks
+from .triples import Triple, TripleSet, _bits, check_triple, mask_images, num_triples, quartet_masks, triple_rank
 
 
 @lru_cache(maxsize=None)
@@ -58,11 +58,6 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j) with i < j, lexicographically; the coordinates of
     the parameter torus."""
     return tuple(itertools.combinations(range(n + 1), 2))
-
-
-@lru_cache(maxsize=None)
-def pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: i for i, p in enumerate(pair_list(n))}
 
 
 def num_pairs(n: int) -> int:
@@ -73,26 +68,17 @@ def num_pairs(n: int) -> int:
 def boundary_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair indices (ij, jk, ik) of every triple, lexicographic, with no tuple of triples held."""
     pair = np.zeros((n + 1, n + 1), dtype=np.intp)
-    pair[np.triu_indices(n + 1, 1)] = np.arange(num_pairs(n))
+    rows = np.fromiter(itertools.chain.from_iterable(pair_list(n)), np.intp, 2 * num_pairs(n))
+    pair[tuple(rows.reshape(-1, 2).T)] = np.arange(num_pairs(n))
     flat = itertools.chain.from_iterable(itertools.combinations(range(n + 1), 3))
     i, j, k = np.fromiter(flat, np.intp, 3 * num_triples(n)).reshape(-1, 3).T
     return pair[i, j], pair[j, k], pair[i, k]
 
 
-def triple_char(t: Triple, n: int) -> tuple[int, ...]:
-    """Character vector of a triple: +1 at (i,j), +1 at (j,k), -1 at (i,k)."""
-    i, j, k = check_triple(t, n)
-    idx = pair_index(n)
-    v = [0] * num_pairs(n)
-    v[idx[(i, j)]] += 1
-    v[idx[(j, k)]] += 1
-    v[idx[(i, k)]] -= 1
-    return tuple(v)
-
-
-#: Largest n of the character table, C(n+1, 3) rows of C(n+1, 2) bytes (28 MB
-#: at n = 50, 27 GB at n = 200), and of the b_t = 1 solver of realize and
-#: forced: its slowest input, the full set, takes 0.03 s at n = 16, 0.6 s at
+#: Largest n of the character lattice.  It sizes the dense echelon rows of
+#: span, closure and node_label and the P x P matrix V of the b_t = 1 solver
+#: of realize and forced, P = C(n+1, 2) pairs (1,275 at n = 50).  The
+#: solver's slowest input, the full set, takes 0.03 s at n = 16, 0.6 s at
 #: n = 30 and 8 s at n = 50 (99 MB peak) on a shared 2-vCPU host.
 CHARS_MAX_N = 50
 
@@ -103,12 +89,18 @@ def _check_chars_bound(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def triple_chars(n: int) -> dict[Triple, array]:
-    """Characters of all triples of dimension n, in lexicographic order, as
-    signed bytes (tuples would take 213 MB at n = 50).  Raises ValueError
-    above CHARS_MAX_N, before building any."""
-    _check_chars_bound(n)
-    return {t: array("b", triple_char(t, n)) for t in all_triples(n)}
+def _boundary_char(n: int, b: int) -> array:
+    """Character of triple bit b as signed bytes, built on first use: +1 at
+    ij and jk, -1 at ik, the pair positions that boundary_pairs(n) gives it."""
+    char = array("b", [0]) * num_pairs(n)
+    ij, jk, ik = (int(pairs[b]) for pairs in boundary_pairs(n))
+    char[ij], char[jk], char[ik] = 1, 1, -1
+    return char
+
+
+def triple_char(t: Triple, n: int) -> tuple[int, ...]:
+    """Character vector of a triple: +1 at (i,j), +1 at (j,k), -1 at (i,k)."""
+    return tuple(_boundary_char(n, triple_rank(check_triple(t, n), n)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -254,9 +246,10 @@ class Quotient:
 
 
 def span(J: TripleSet) -> SubLattice:
-    """Integer span of the characters of a triple set."""
-    chars = triple_chars(J.n)
-    return SubLattice.span((chars[t] for t in J), num_pairs(J.n))
+    """Integer span of the characters of a triple set; raises ValueError
+    above CHARS_MAX_N, before any character is built."""
+    _check_chars_bound(J.n)
+    return SubLattice.span(map(_boundary_char, itertools.repeat(J.n), _bits(J.mask)), num_pairs(J.n))
 
 
 def closure(J: TripleSet) -> TripleSet:
@@ -272,12 +265,11 @@ def closure(J: TripleSet) -> TripleSet:
 def _closure_label(J: TripleSet) -> tuple[TripleSet, int]:
     """closure(J) and node_label(J), read off one span of J's characters
     (the closure has the same span, hence the same label)."""
-    lat = span(J)
-    mask = J.mask
-    for b, char in enumerate(triple_chars(J.n).values()):
-        if not mask >> b & 1 and lat.contains(char):
+    n, lat, mask = J.n, span(J), J.mask
+    for b in _bits(~mask & (1 << num_triples(n)) - 1):
+        if lat.contains(_boundary_char(n, b)):
             mask |= 1 << b
-    return TripleSet(J.n, mask), num_pairs(J.n) - lat.rank - J.n
+    return TripleSet(n, mask), num_pairs(n) - lat.rank - n
 
 
 @lru_cache(maxsize=None)
@@ -285,11 +277,8 @@ def _quartets_through(n: int) -> tuple[tuple[int, ...], ...]:
     """For each triple bit, the n - 2 quartet masks holding that face."""
     through: list[list[int]] = [[] for _ in range(num_triples(n))]
     for quartet in quartet_masks(n):
-        m = quartet
-        while m:
-            low = m & -m
-            through[low.bit_length() - 1].append(quartet)
-            m ^= low
+        for b in _bits(quartet):
+            through[b].append(quartet)
     return tuple(map(tuple, through))
 
 

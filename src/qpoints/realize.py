@@ -30,9 +30,9 @@ from math import lcm, prod
 from typing import Iterable
 
 from .adequacy import Collection, _one_face_tetrahedron, enumerate_adequate
-from .lattice import Quotient, _check_chars_bound, pair_index, pair_list, span
+from .lattice import Quotient, _check_chars_bound, boundary_pairs, pair_list, span
 from .scalars import GeneratorTable, GroupScalar, QMatrix
-from .triples import TripleSet
+from .triples import TripleSet, triple_rank
 from .variety import good_triples
 
 
@@ -251,12 +251,13 @@ def generic_point_of_node(closed: TripleSet) -> QMatrix:
     # forces in, whose image is zero, and those whose image is pure
     # torsion, which only a torsion character can obstruct; each image is
     # the boundary e_ij + e_jk - e_ik read as V[ij] + V[jk] - V[ik]
-    V, idx = quotient.V, pair_index(closed.n)
+    V, (ij, jk, ik) = quotient.V, boundary_pairs(closed.n)
     forced, torsion_coset = [], []
-    for i, j, k in achieved - closed:
-        z = [p + q - r for p, q, r in zip(V[idx[i, j]], V[idx[j, k]], V[idx[i, k]])]
+    for t in achieved - closed:
+        b = triple_rank(t, closed.n)
+        z = [p + q - r for p, q, r in zip(V[ij[b]], V[jk[b]], V[ik[b]])]
         if quotient.is_zero(z):
-            forced.append((i, j, k))
+            forced.append(t)
         else:
             torsion_coset.append(z)
     if forced:

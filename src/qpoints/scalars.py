@@ -32,6 +32,16 @@ from .triples import Triple, check_triple
 TORSION_NAME = "w"
 
 
+#: Most characters of an input value that an error message echoes.
+_SHOWN_MAX = 80
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to _SHOWN_MAX characters."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
+
+
 def _is_generator_name(name: str) -> bool:
     """Whether name may name a free generator: an ASCII identifier, a
     letter or _ followed by letters, digits and _, other than w."""
@@ -152,13 +162,13 @@ def _parse_terms(text: str) -> tuple[dict[str, int], int]:
                 raise ValueError(power)
             e = int(power) if caret else 1
         except ValueError as exc:
-            raise ScalarError(f"bad exponent in token {token!r}") from exc
+            raise ScalarError(f"bad exponent in token {_shown(token)}") from exc
         if name == TORSION_NAME:
             torsion += e
         elif _is_generator_name(name):
             exps[name] = exps.get(name, 0) + e
         else:
-            raise ScalarError(f"bad generator name {name!r} in {text!r}")
+            raise ScalarError(f"bad generator name {_shown(name)} in {_shown(text)}")
     return exps, torsion
 
 
@@ -182,7 +192,7 @@ class GeneratorTable:
             raise ScalarError("generator names must be unique")
         for g in names:
             if not _is_generator_name(g):
-                raise ScalarError(f"bad generator name {g!r}")
+                raise ScalarError(f"bad generator name {_shown(g)}")
         object.__setattr__(self, "names", names)
 
 
@@ -247,7 +257,7 @@ class QMatrix:
                 if pair not in entries:
                     raise ScalarError("upper triangle must hold exactly the pairs i < j") from None
                 raise TableMismatchError(
-                    f"pair {pair} names generator {exc.args[0]!r}, which the generator table does not hold"
+                    f"pair {pair} names generator {_shown(exc.args[0])}, which the generator table does not hold"
                 ) from None
             except AttributeError:
                 raise ScalarError(f"exponents of pair {pair} must map generator names to exponents") from None
@@ -356,10 +366,11 @@ class MatrixFormatError(ValueError):
     """Matrix JSON is structurally malformed."""
 
 
-def _json_int(value, what: str) -> int:
-    """value, which must be a JSON integer (not a bool, float or string)."""
+def _json_int(value, what: str, *names) -> int:
+    """value, which must be a JSON integer (not a bool, float or string);
+    else MatrixFormatError calls it what, its {} fields filled by _shown(names)."""
     if type(value) is not int:
-        raise MatrixFormatError(f"{what} must be an integer, got {value!r}")
+        raise MatrixFormatError(f"{what.format(*map(_shown, names))} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -392,25 +403,22 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
             i_str, j_str = str(key).split(",")
             pair = (int(i_str), int(j_str))
         except ValueError as exc:
-            raise MatrixFormatError(f"bad pair key {key!r}") from exc
+            raise MatrixFormatError(f"bad pair key {_shown(key)}") from exc
         if pair in keys:
-            raise MatrixFormatError(f"pair keys {keys[pair]!r} and {key!r} both name the pair {pair[0]},{pair[1]}")
+            raise MatrixFormatError(f"pair keys {_shown(keys[pair])} and {_shown(key)} both name the pair {pair[0]},{pair[1]}")
         keys[pair] = key
         if type(value) is str:
             exps, phase = _parse_terms(value)
         elif isinstance(value, dict):
             exps, phase = value.get("exponents", {}), value.get("torsion", 0)
             if not isinstance(exps, dict):
-                raise MatrixFormatError(f"exponents of pair {key!r} must be an object")
+                raise MatrixFormatError(f"exponents of pair {_shown(key)} must be an object")
             for g, e in exps.items():
-                if type(e) is not int:
-                    raise MatrixFormatError(f"exponent of {g!r} in pair {key!r} must be an integer, got {e!r}")
-                if e and not _is_generator_name(g):
-                    raise ScalarError(f"bad generator name {g!r}")
-            if type(phase) is not int:
-                raise MatrixFormatError(f"torsion of pair {key!r} must be an integer, got {phase!r}")
+                if _json_int(e, "exponent of {} in pair {}", g, key) and not _is_generator_name(g):
+                    raise ScalarError(f"bad generator name {_shown(g)}")
+            _json_int(phase, "torsion of pair {}", key)
         else:
-            raise MatrixFormatError(f"bad scalar for pair {key!r}: expected a string or an object")
+            raise MatrixFormatError(f"bad scalar for pair {_shown(key)}: expected a string or an object")
         entries[pair] = (exps, phase)
     if not names:
         names = sorted({g for exps, _ in entries.values() for g, e in exps.items() if e})

@@ -51,6 +51,14 @@ def triple_rank(t: Triple, n: int) -> int:
     return comb(n + 1, 3) - comb(n + 1 - i, 3) + comb(n - i, 2) - comb(n + 1 - j, 2) + k - j - 1
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=None)
 def all_triples(n: int) -> tuple[Triple, ...]:
     """All triples of {0..n} in lexicographic order."""

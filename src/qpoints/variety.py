@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import boundary_pairs, num_pairs
 from .scalars import QMatrix
-from .triples import Triple, TripleSet, all_triples
+from .triples import Triple, TripleSet, _bits, all_triples
 
 #: A flat is the sorted index set of a coordinate subspace; its projective
 #: dimension is len(flat) - 1.
@@ -123,13 +123,6 @@ def good_triples(Q: QMatrix) -> TripleSet:
             b -= E[ik[r]]
             good[r] = (b == 0).all(axis=1)
     return TripleSet(n, int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little"))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def components(good: TripleSet) -> Configuration:

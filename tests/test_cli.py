@@ -385,6 +385,27 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err.startswith("parse error: invalid JSON") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("realize", {"n": 3, "triples": ["x" * 10**6]}),
+            ("realize", {"n": "x" * 10**6, "triples": []}),
+            ("pts", {"n": 1, "upper": {"0,1": {"exponents": {"a": "x" * 10**6}}}}),
+            ("pts", {"n": 1, "upper": {"x" * 10**6: "1"}}),
+        ],
+        ids=["triple", "n", "exponent", "pair-key"],
+    )
+    def test_huge_value_is_echoed_cut_short(self, tmp_path, capsys, command, data):
+        # a message shows an input value cut to a fixed length, so a 1 MB
+        # value does not come back as a 1 MB line
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 300
+
     @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
     def test_oversized_input_exits_3_naming_path_and_size(self, tmp_path, capsys, command):
         # sparse files of zero bytes: truncate writes no data to disk

@@ -19,18 +19,18 @@ from qpoints.degeneration import enumerate_nodes
 from qpoints.lattice import (
     CHARS_MAX_N,
     SubLattice,
+    _boundary_char,
     _closure_label,
     _quartet_add,
     boundary_pairs,
     closure,
     node_label,
     num_pairs,
-    pair_index,
+    pair_list,
     quartet_saturate,
     smith_normal_form,
     span,
     triple_char,
-    triple_chars,
 )
 from qpoints.realize import generic_point_of_node
 from qpoints.triples import TripleSet, all_triples, num_triples, quartet_masks
@@ -71,16 +71,39 @@ class TestTripleChar:
 
     def test_sparse_positions(self):
         v = triple_char((1, 3, 5), 5)
-        idx = pair_index(5)
-        expected = {idx[(1, 3)]: 1, idx[(3, 5)]: 1, idx[(1, 5)]: -1}
+        idx = pair_list(5).index
+        expected = {idx((1, 3)): 1, idx((3, 5)): 1, idx((1, 5)): -1}
         for i, value in enumerate(v):
             assert value == expected.get(i, 0)
+
+    def test_every_character_against_a_plain_oracle(self):
+        # pairs and triples laid out here by plain loops, lexicographically
+        for n in range(9):
+            pairs = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+            assert list(pair_list(n)) == pairs
+            triples = [(i, j, k) for i in range(n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
+            for b, (i, j, k) in enumerate(triples):
+                want = [0] * len(pairs)
+                want[pairs.index((i, j))] = 1
+                want[pairs.index((j, k))] = 1
+                want[pairs.index((i, k))] = -1
+                assert list(_boundary_char(n, b)) == want
+                assert triple_char((i, j, k), n) == tuple(want)
+
+    def test_span_builds_only_its_own_characters(self):
+        # no table of every character: a span of k triples builds at most k
+        n, rng = CHARS_MAX_N, random.Random(3250)
+        for k in (0, 1, 40):
+            J = TripleSet(n, sum(1 << b for b in rng.sample(range(num_triples(n)), k)))
+            _boundary_char.cache_clear()
+            span(J)
+            assert _boundary_char.cache_info().misses <= k
 
     def test_boundary_pairs_are_read_off_all_triples(self):
         # the table is built without the tuple of all triples, in its order
         for n in range(13):
-            idx = pair_index(n)
-            rows = [(idx[i, j], idx[j, k], idx[i, k]) for i, j, k in all_triples(n)]
+            idx = pair_list(n).index
+            rows = [(idx((i, j)), idx((j, k)), idx((i, k))) for i, j, k in all_triples(n)]
             assert [a.tolist() for a in boundary_pairs(n)] == [[r[c] for r in rows] for c in range(3)]
             assert all(a.dtype == np.intp for a in boundary_pairs(n))
         assert all(len(a) == 0 for n in (0, 1) for a in boundary_pairs(n))
@@ -185,13 +208,14 @@ class TestClosure:
             assert closure(good) == good
 
     def test_refuses_n_above_the_table_bound_before_building_it(self, monkeypatch):
-        def refuse(t, n):
-            pytest.fail("a character built above the table bound")
+        def refuse(n, b):
+            pytest.fail("a character built above the lattice bound")
 
-        monkeypatch.setattr("qpoints.lattice.triple_char", refuse)
+        monkeypatch.setattr("qpoints.lattice._boundary_char", refuse)
         n = CHARS_MAX_N + 1
-        with pytest.raises(ValueError, match=f"n <= {CHARS_MAX_N}, got n = {n}"):
-            closure(TripleSet(n, 1))
+        for probe in (span, closure, node_label):
+            with pytest.raises(ValueError, match=f"n <= {CHARS_MAX_N}, got n = {n}"):
+                probe(TripleSet(n, 1))
 
 
 class TestQuartetSaturate:
@@ -357,7 +381,7 @@ def vector_batches(draw):
 def character_spans(draw):
     """A dimension n = 2..8 and a random list of its triple characters."""
     n = draw(st.integers(2, 8))
-    chars = list(triple_chars(n).values())
+    chars = [triple_char(t, n) for t in all_triples(n)]
     picks = draw(st.lists(st.integers(0, len(chars) - 1), max_size=3 * n))
     return n, [chars[b] for b in picks]
 
@@ -404,7 +428,7 @@ class TestSparseKernel:
     @given(character_spans())
     def test_character_spans(self, drawn):
         n, chars = drawn
-        lat = self._check_spans_alike(num_pairs(n), chars, list(triple_chars(n).values()))
+        lat = self._check_spans_alike(num_pairs(n), chars, [triple_char(t, n) for t in all_triples(n)])
         rows = lat.rows or [[0] * lat.dim]
         assert smith_normal_form(rows) == dense_smith_normal_form(rows)
 

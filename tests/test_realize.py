@@ -325,10 +325,10 @@ class TestGenericPoint:
             generic_point_of_node(J)
 
     def test_bounded_before_any_work(self, monkeypatch):
-        def refuse(n):
+        def refuse(n, b):
             pytest.fail("characters built above the solver bound")
 
-        monkeypatch.setattr(importlib.import_module("qpoints.lattice"), "triple_chars", refuse)
+        monkeypatch.setattr(importlib.import_module("qpoints.lattice"), "_boundary_char", refuse)
         with pytest.raises(ValueError, match="n <= 50, got n = 51"):
             generic_point_of_node(TripleSet.full(51))
 

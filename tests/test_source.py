@@ -179,22 +179,7 @@ def test_pair_order_laid_out_only_in_lattice():
 def test_torsion_limit_read_only_by_solution_family():
     # one solver lists the torsion characters of b_t = 1, so the search
     # limit is read in SolutionFamily.characters and nowhere else
-    package = Path(qpoints.__file__).parent
-    readers = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name == "TORSION_SEARCH_LIMIT" and isinstance(child.ctx, ast.Load):
-                readers.add(".".join((path.stem,) + scope))
-            visit(child, scope)
-
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), ())
-    assert readers == {"realize.SolutionFamily.characters"}, readers
+    assert reading_scopes("TORSION_SEARCH_LIMIT") == {"realize.SolutionFamily.characters"}
 
 
 def calling_scopes(name: str) -> set[str]:
@@ -219,28 +204,43 @@ def calling_scopes(name: str) -> set[str]:
     return found
 
 
-def test_each_input_limit_read_in_one_place():
-    # lattice alone compares n with the character-lattice bound, and one
-    # decoder reads every input file's JSON, so neither decision has a
-    # second copy with its own message or its own failure
+def reading_scopes(name: str) -> set[str]:
+    """module.function (or module.Class.method) of every read of name in
+    the package, a call or any other load; module level is the module."""
     package = Path(qpoints.__file__).parent
-    readers = set()
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name == "CHARS_MAX_N" and isinstance(child.ctx, ast.Load):
-                readers.add(".".join((path.stem,) + scope))
+            found_name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if found_name == name and isinstance(child.ctx, ast.Load):
+                found.add(".".join((path.stem,) + scope))
             visit(child, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), ())
-    assert readers == {"lattice._check_chars_bound"}, readers
+    return found
+
+
+def test_each_input_limit_read_in_one_place():
+    # lattice alone compares n with the character-lattice bound, and one
+    # decoder reads every input file's JSON, so neither decision has a
+    # second copy with its own message or its own failure
+    assert reading_scopes("CHARS_MAX_N") == {"lattice._check_chars_bound"}
     assert calling_scopes("loads") == {"scalars._json_value"}
     assert calling_scopes("load") == set()
+
+
+def test_characters_built_in_one_place():
+    # every character is built on demand from boundary_pairs, so no second
+    # character table or bit walker grows back
+    assert reading_scopes("_boundary_char") == {"lattice.triple_char", "lattice.span", "lattice._closure_label"}
+    sources = {path.name: path.read_text() for path in Path(qpoints.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "def _bits" in text] == ["triples.py"]
+    assert [name for name, text in sources.items() if "triple_chars" in text or "pair_index" in text] == []
 
 
 def test_sweep_is_only_a_reference():
