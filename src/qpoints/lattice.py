@@ -68,8 +68,8 @@ def num_pairs(n: int) -> int:
 def boundary_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair indices (ij, jk, ik) of every triple, lexicographic, with no tuple of triples held."""
     pair = np.zeros((n + 1, n + 1), dtype=np.intp)
-    rows = np.fromiter(itertools.chain.from_iterable(pair_list(n)), np.intp, 2 * num_pairs(n))
-    pair[tuple(rows.reshape(-1, 2).T)] = np.arange(num_pairs(n))
+    ends = np.fromiter(itertools.chain.from_iterable(pair_list(n)), np.intp, 2 * num_pairs(n))
+    pair[tuple(ends.reshape(-1, 2).T)] = np.arange(num_pairs(n))
     flat = itertools.chain.from_iterable(itertools.combinations(range(n + 1), 3))
     i, j, k = np.fromiter(flat, np.intp, 3 * num_triples(n)).reshape(-1, 3).T
     return pair[i, j], pair[j, k], pair[i, k]

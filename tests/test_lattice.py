@@ -89,6 +89,10 @@ class TestTripleChar:
                 want[pairs.index((i, k))] = -1
                 assert list(_boundary_char(n, b)) == want
                 assert triple_char((i, j, k), n) == tuple(want)
+        n = CHARS_MAX_N + 1  # triple_char has no lattice bound
+        idx = pair_list(n).index
+        v = triple_char((2, 7, 40), n)
+        assert {c: x for c, x in enumerate(v) if x} == {idx((2, 7)): 1, idx((7, 40)): 1, idx((2, 40)): -1}
 
     def test_span_builds_only_its_own_characters(self):
         # no table of every character: a span of k triples builds at most k
