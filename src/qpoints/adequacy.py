@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .lattice import boundary_pairs, num_pairs, traverse
-from .triples import Triple, TripleSet, canonical_mask_orbit, num_triples, quartet_masks
+from .triples import Triple, TripleSet, _shown, canonical_mask_orbit, num_triples, quartet_masks
 
 #: A collection is just a triple set; the alias marks intent (excluded
 #: planes rather than contained ones).
@@ -129,7 +129,7 @@ def adequate_masks(n: int) -> np.ndarray:
     """
     nt = num_triples(n)
     if nt > 25:
-        raise ValueError(f"adequate enumeration over 2^{nt} collections (n = {n}) is out of budget; n <= 5")
+        raise ValueError(f"adequate enumeration over 2^{_shown(nt)} collections (n = {_shown(n)}) is out of budget; n <= 5")
     lo = nt // 2
     high, low = np.zeros(1 << (nt - lo), dtype=np.uint64), np.zeros(1 << lo, dtype=np.uint64)
     for words, shift in ((high, lo), (low, 0)):

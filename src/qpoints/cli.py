@@ -9,7 +9,8 @@ enumeration at N = 5 (enumerate --nodes, graph, sinks) needs --long, a
 rule of this module alone: the library functions take n alone, and
 enumerate --adequate and realize --class never need it.  Exit codes: 0 ok,
 2 parse/usage (as an input file that scalars._json_value, the one JSON
-decoder, finds malformed or too deeply nested), --long missing, or a file,
+decoder, finds malformed, too deeply nested or holding an integer past the
+interpreter's digit limit), --long missing, or a file,
 stdout included, that cannot be read or written, 3 input invariant
 violation or input beyond a size bound (an input above INPUT_MAX_BYTES =
 64 MiB, a file, a pipe or a device; for realize and forced: n above
@@ -49,8 +50,8 @@ from .degeneration import (
     to_dot,
 )
 from .realize import NotAdequateError, forced_solutions, realize, realize_all
-from .scalars import MatrixFormatError, ScalarError, _json_int, _json_value, _shown, qmatrix_from_json_dict
-from .triples import TripleSet
+from .scalars import MatrixFormatError, ScalarError, _json_int, _json_value, qmatrix_from_json_dict
+from .triples import TripleSet, _shown
 from .variety import _check_size, components, good_triples, ideal_generators
 
 EXIT_OK = 0
@@ -230,7 +231,7 @@ def cmd_realize(args) -> int:
         try:
             n = int(n)
         except ValueError:
-            print(f"error: class dimension N must be an integer, got {n!r}", file=sys.stderr)
+            print(f"error: class dimension N must be an integer, got {_shown(n)}", file=sys.stderr)
             return EXIT_PARSE
         catalog = enumerate_adequate(n)
         if index == "all":
@@ -290,7 +291,7 @@ def cmd_forced(args) -> int:
             try:
                 i, j = map(int, chunk.split(","))
             except ValueError:
-                print(f"error: --pin takes integer pairs i,j, got {chunk!r}", file=sys.stderr)
+                print(f"error: --pin takes integer pairs i,j, got {_shown(chunk)}", file=sys.stderr)
                 return EXIT_PARSE
             pins.append((i, j))
     else:

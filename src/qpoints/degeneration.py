@@ -4,18 +4,18 @@ Every set of triples cuts a sub-torus out of the parameter torus; two sets
 cut out the same sub-torus exactly when they have the same character-span
 closure.  Nodes of the degeneration graph are the closed triple sets up to
 coordinate symmetry, each carrying the dimension label of its sub-torus and
-the type vector of the point variety it produces (counted for all the
-nodes of one n by one sieve over the 2^(n+1) coordinate subsets,
-variety._type_vectors); arrows record strict
+the type vector of the point variety it produces; arrows record strict
 inclusion of closed sets (larger closed set = smaller torus = bigger point
-variety), transitively reduced.  Both are read off lattice.traverse, the
-quartet traversal that also lists the catalog: the nodes are the classes
-that the exact closure fixes (175 closures at n = 5), and the arrows
-reduce the one-step inclusions out of them, their targets closed.  This
-module builds only the graph; the character equations b_t = 1 of a node
-are solved in realize (SolutionFamily).  From n = 8 a closed set can have
-no generic point, so a node's type vector can describe a configuration that
-no matrix has (test_realize.py's test_closed_complement_without_generic_point).
+variety), transitively reduced.  build_graph is the one build of both,
+cached per n, and enumerate_nodes and sinks read its nodes.  It reads them
+off lattice.traverse, the quartet traversal that also lists the catalog:
+the nodes are the classes that the exact closure fixes (175 closures at
+n = 5), and the arrows reduce the one-step inclusions out of them, their
+targets closed.  This module builds only the graph; the character
+equations b_t = 1 of a node are solved in realize (SolutionFamily).  From
+n = 8 a closed set can have no generic point, so a node's type vector can
+describe a configuration that no matrix has (test_realize.py's
+test_closed_complement_without_generic_point).
 """
 
 from __future__ import annotations
@@ -80,39 +80,10 @@ def node_ids(nodes: Sequence[DegNode]) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
-    """Closed-set classes and one-step inclusions, read off the classes of
-    lattice.traverse.  The exact closure runs once per class, and its span
-    also gives the label; a class is a node when its closure adds nothing,
-    and a step (K, L) from a node becomes (K, the closed class of L).  The
-    type vectors of all the nodes come from one subset sieve
-    (variety._type_vectors), not from components once per node."""
-    classes, successors = traverse(n)
-    closed_class: dict[int, int] = {}
-    fixed = []
-    for m in classes:
-        closed, label = _closure_label(TripleSet(n, m))
-        closed_class[m], orbit = canonical_mask_orbit(n, closed.mask)
-        if closed.mask == m:
-            fixed.append((closed, label, orbit))
-    types = _type_vectors(n, [closed.mask for closed, _, _ in fixed])
-    nodes = [DegNode(closed, label, tv, orbit) for (closed, label, orbit), tv in zip(fixed, types)]
-    return nodes, {(k, closed_class[m]) for k, ms in zip(classes, successors) if closed_class[k] == k for m in ms}
-
-
-@lru_cache(maxsize=None)
-def _nodes_cached(n: int) -> tuple[tuple[DegNode, ...], frozenset[tuple[int, int]]]:
-    """Sorted nodes, and the traversal's one-step inclusions as index pairs."""
-    nodes, steps = _closed_reps_bfs(n)
-    nodes.sort(key=lambda node: (node.label, node.closed_set.mask))
-    index = {node.closed_set.mask: i for i, node in enumerate(nodes)}
-    return tuple(nodes), frozenset((index[a], index[b]) for a, b in steps)
-
-
 def enumerate_nodes(n: int) -> tuple[DegNode, ...]:
     """All degeneration-graph nodes of dimension n, sorted by (label,
-    canonical closed set); lattice.traverse refuses n > 5."""
-    return _nodes_cached(n)[0]
+    canonical closed set): the nodes of build_graph(n)."""
+    return build_graph(n).nodes
 
 
 def transitive_reduction(
@@ -140,14 +111,30 @@ def transitive_reduction(
     return arrows
 
 
+@lru_cache(maxsize=None)
 def build_graph(n: int) -> DegGraph:
-    """Degeneration graph: closed-set classes with arrows for the covers of
-    strict inclusion up to symmetry, read off the traversal's one-step
-    inclusions."""
-    nodes = enumerate_nodes(n)
-    sizes = [len(node.closed_set) for node in nodes]
-    arrows = sorted(transitive_reduction(sizes, _nodes_cached(n)[1]))
-    return DegGraph(n, nodes, tuple(arrows))
+    """Degeneration graph of dimension n; lattice.traverse refuses n > 5.
+
+    The exact closure runs once per traversal class and also gives the
+    label; a class is a node when its closure adds nothing, and a step
+    (K, L) out of a node becomes (K, the closed class of L).  One subset
+    sieve (variety._type_vectors) gives the type vectors of all the nodes.
+    """
+    classes, successors = traverse(n)
+    closed_class: dict[int, int] = {}
+    fixed = []
+    for m in classes:
+        closed, label = _closure_label(TripleSet(n, m))
+        closed_class[m], orbit = canonical_mask_orbit(n, closed.mask)
+        if closed.mask == m:
+            fixed.append((closed, label, orbit))
+    types = _type_vectors(n, [closed.mask for closed, _, _ in fixed])
+    nodes = [DegNode(closed, label, tv, orbit) for (closed, label, orbit), tv in zip(fixed, types)]
+    nodes.sort(key=lambda node: (node.label, node.closed_set.mask))
+    index = {node.closed_set.mask: i for i, node in enumerate(nodes)}
+    steps = {(index[k], index[closed_class[m]]) for k, ms in zip(classes, successors) if closed_class[k] == k for m in ms}
+    arrows = transitive_reduction([len(node.closed_set) for node in nodes], steps)
+    return DegGraph(n, tuple(nodes), tuple(sorted(arrows)))
 
 
 def sinks(n: int) -> list[DegNode]:

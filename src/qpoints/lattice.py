@@ -50,7 +50,7 @@ from math import comb
 
 import numpy as np
 
-from .triples import Triple, TripleSet, _bits, check_triple, mask_images, num_triples, quartet_masks, triple_rank
+from .triples import Triple, TripleSet, _bits, _shown, check_triple, mask_images, num_triples, quartet_masks, triple_rank
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +85,7 @@ CHARS_MAX_N = 50
 
 def _check_chars_bound(n: int) -> None:
     if n > CHARS_MAX_N:
-        raise ValueError(f"the character lattice supports n <= {CHARS_MAX_N}, got n = {n}")
+        raise ValueError(f"the character lattice supports n <= {CHARS_MAX_N}, got n = {_shown(n)}")
 
 
 @lru_cache(maxsize=None)
@@ -316,9 +316,9 @@ def traverse(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     among the classes.  Sized for n <= 5.
     """
     if n < 0:
-        raise ValueError(f"dimension index n must be >= 0, got {n}")
+        raise ValueError(f"dimension index n must be >= 0, got {_shown(n)}")
     if n > 5:
-        raise ValueError(f"closure-class enumeration (n = {n}) is out of budget; n <= 5")
+        raise ValueError(f"closure-class enumeration (n = {_shown(n)}) is out of budget; n <= 5")
     classes, successors, seen = [0], [], {0}
     for k in classes:
         ls = {_quartet_add(n, k, b) for b in range(num_triples(n)) if not k >> b & 1}

@@ -32,7 +32,7 @@ from typing import Iterable
 from .adequacy import Collection, _one_face_tetrahedron, enumerate_adequate
 from .lattice import Quotient, _check_chars_bound, boundary_pairs, pair_list, span
 from .scalars import GeneratorTable, GroupScalar, QMatrix
-from .triples import TripleSet, triple_rank
+from .triples import TripleSet, _shown, triple_rank
 from .variety import good_triples
 
 
@@ -212,9 +212,9 @@ def forced_solutions(
     for pair in normalization:
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < j <= n):
-            raise ValueError(f"bad normalization pair {pair!r}")
+            raise ValueError(f"bad normalization pair {_shown(pair)}")
         if (i, j) in norm:
-            raise ValueError(f"duplicate normalization pair {pair!r}")
+            raise ValueError(f"duplicate normalization pair {_shown(pair)}")
         norm.append((i, j))
     lat = span(G)
     for pair in norm:

@@ -19,6 +19,7 @@ arithmetic, kept while perfbench/tracer.py wraps it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -26,20 +27,10 @@ from typing import Mapping
 import numpy as np
 
 from .lattice import pair_list
-from .triples import Triple, check_triple
+from .triples import Triple, _shown, check_triple
 
 #: Reserved name for the distinguished root of unity in the string syntax.
 TORSION_NAME = "w"
-
-
-#: Most characters of an input value that an error message echoes.
-_SHOWN_MAX = 80
-
-
-def _shown(value) -> str:
-    """repr(value) for an error message, cut to _SHOWN_MAX characters."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
 
 
 def _is_generator_name(name: str) -> bool:
@@ -79,7 +70,7 @@ class GroupScalar:
             raise ScalarError("duplicate generator in exponent list")
         for g in names:
             if not _is_generator_name(g):
-                raise ScalarError(f"bad generator name {g!r}")
+                raise ScalarError(f"bad generator name {_shown(g)}")
         object.__setattr__(self, "exponents", cleaned)
 
     @classmethod
@@ -250,7 +241,7 @@ class QMatrix:
             try:
                 exps, phase = entries[pair]
                 if type(phase) is not int:
-                    raise ScalarError(f"phase of pair {pair} must be an integer, got {phase!r}")
+                    raise ScalarError(f"phase of pair {pair} must be an integer, got {_shown(phase)}")
                 phases.append(phase % modulus)
                 found += [(p, column[g], e) for g, e in exps.items() if e]
             except KeyError as exc:
@@ -265,7 +256,7 @@ class QMatrix:
         rows, cols, vals = zip(*found) if found else ((), (), ())
         if not set(map(type, vals)) <= {int}:
             p, c, e = next(f for f in found if type(f[2]) is not int)
-            raise ScalarError(f"exponent of {table.names[c]} in pair {pair_list(n)[p]} must be an integer, got {e!r}")
+            raise ScalarError(f"exponent of {table.names[c]} in pair {pair_list(n)[p]} must be an integer, got {_shown(e)}")
         # the narrowest signed types holding +-3 times the modulus and +-3
         # times the largest exponent, so a sum of three entries is exact;
         # object (Python integers) beyond int64
@@ -405,7 +396,7 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
         except ValueError as exc:
             raise MatrixFormatError(f"bad pair key {_shown(key)}") from exc
         if pair in keys:
-            raise MatrixFormatError(f"pair keys {_shown(keys[pair])} and {_shown(key)} both name the pair {pair[0]},{pair[1]}")
+            raise MatrixFormatError(f"pair keys {_shown(keys[pair])} and {_shown(key)} both name the pair {_shown(pair[0])},{_shown(pair[1])}")
         keys[pair] = key
         if type(value) is str:
             exps, phase = _parse_terms(value)
@@ -427,11 +418,14 @@ def qmatrix_from_json_dict(data: Mapping) -> QMatrix:
 
 def _json_value(text: str) -> object:
     """The decoded JSON of an input file, by the one decoder: malformed or
-    too deeply nested text raises MatrixFormatError("invalid JSON: ...")."""
+    too deeply nested text, or an integer past the interpreter's digit
+    limit, raises MatrixFormatError("invalid JSON: ...")."""
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # the one other failure: int() past sys.get_int_max_str_digits()
+        raise MatrixFormatError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def qmatrix_from_json(text: str) -> QMatrix:

@@ -31,15 +31,24 @@ _MAX_MASK_BITS = 1 << 27
 #: Maps the digits of bin(mask) to the bytes 0 and 1.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
+#: Most characters of an input value that an error message echoes.
+_SHOWN_MAX = 80
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to _SHOWN_MAX characters."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
+
 
 def check_triple(t: Iterable[int], n: int) -> Triple:
     """Validate and normalize a triple for ambient dimension n."""
     t = tuple(int(v) for v in t)
     if len(t) != 3:
-        raise ValueError(f"triple must have three indices, got {t!r}")
+        raise ValueError(f"triple must have three indices, got {_shown(t)}")
     i, j, k = t
     if not (0 <= i < j < k <= n):
-        raise ValueError(f"triple {t!r} violates 0 <= i < j < k <= {n}")
+        raise ValueError(f"triple {_shown(t)} violates 0 <= i < j < k <= {_shown(n)}")
     return (i, j, k)
 
 
@@ -98,7 +107,7 @@ def _perm_mask_tables(n: int) -> tuple[np.ndarray, ...]:
     (25.8 MB).  The tables are read-only.
     """
     if n > 6:  # 578 MB of tables at n = 7
-        raise ValueError(f"permutation tables are built for n <= 6, got {n}")
+        raise ValueError(f"permutation tables are built for n <= 6, got {_shown(n)}")
     nt, nperm = num_triples(n), factorial(n + 1)
     chunks = max(1, -(-nt // 8))
     w = max(1, -(-nt // chunks))
@@ -164,7 +173,7 @@ class TripleSet:
             t = check_triple(t, n)
             rank = triple_rank(t, n)
             if rank >= _MAX_MASK_BITS:
-                raise ValueError(f"triple {t!r} lies beyond the {_MAX_MASK_BITS}-bit mask limit")
+                raise ValueError(f"triple {_shown(t)} lies beyond the {_MAX_MASK_BITS}-bit mask limit")
             mask |= 1 << rank
         return cls(n, mask)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import boundary_pairs, num_pairs
 from .scalars import QMatrix
-from .triples import Triple, TripleSet, _bits, all_triples
+from .triples import Triple, TripleSet, _bits, _shown, all_triples
 
 #: A flat is the sorted index set of a coordinate subspace; its projective
 #: dimension is len(flat) - 1.
@@ -77,7 +77,7 @@ COMPONENTS_LIMIT = 100_000
 
 def _check_size(n: int) -> None:
     if n > VARIETY_MAX_N:
-        raise ValueError(f"point varieties are computed for n <= {VARIETY_MAX_N}, got n = {n}")
+        raise ValueError(f"point varieties are computed for n <= {VARIETY_MAX_N}, got n = {_shown(n)}")
 
 
 #: Entries per array in one numpy step of good_triples; caps its scratch
@@ -190,7 +190,7 @@ def _type_vectors(n: int, masks) -> list[tuple[int, ...]]:
     at n = 6 with the permutation tables, so n > 6 raises ValueError.
     """
     if n > 6:
-        raise ValueError(f"type vectors are sieved for n <= 6, got n = {n}")
+        raise ValueError(f"type vectors are sieved for n <= 6, got n = {_shown(n)}")
     subsets = np.arange(1 << (n + 1))
     inside = np.zeros(len(subsets), np.int64)  # the triples inside each subset
     for r, (i, j, k) in enumerate(all_triples(n)):

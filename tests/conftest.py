@@ -465,7 +465,8 @@ def fixed_point_quartet_saturate(J: TripleSet) -> TripleSet:
 def per_extension_closed_reps_bfs(n: int) -> tuple[list[DegNode], set[tuple[int, int]]]:
     """Reference copy of the closure-lattice traversal that saturates and
     canonicalizes one extension K + t at a time, and builds each new node
-    from its closed set (oracle for degeneration._closed_reps_bfs)."""
+    from its closed set (oracle for the nodes and the one-step inclusions
+    that degeneration.build_graph reads off lattice.traverse)."""
 
     def node_from_closed(closed: TripleSet) -> DegNode:
         cm, orbit = canonical_mask_orbit(n, closed.mask)

@@ -385,6 +385,18 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err.startswith("parse error: invalid JSON") and captured.err.count("\n") == 1
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys, command):
+        # the decoder cannot convert an integer past the interpreter's digit
+        # limit, so the file is invalid JSON, not an invariant violation
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text('{"n": ' + "9" * (limit + 1) + ', "triples": [], "upper": {}}')
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: invalid JSON: an integer has more than {limit} digits\n")
+
     @pytest.mark.parametrize(
         "command, data",
         [
@@ -405,6 +417,31 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
         assert len(captured.err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "argv, text, code",
+        [
+            (["realize", "FILE"], '{"n": DIGITS, "triples": []}', 3),
+            (["forced", "FILE"], '{"n": DIGITS, "triples": []}', 3),
+            (["realize", "FILE"], '{"n": 3, "triples": [[0, 1, DIGITS]]}', 3),
+            (["pts", "FILE"], '{"n": DIGITS, "upper": {}}', 3),
+            (["enumerate", "DIGITS", "--adequate"], "", 3),
+            (["graph", "DIGITS"], "", 3),
+            (["forced", "--pin", "0,DIGITS", "FILE"], '{"n": 3, "triples": []}', 3),
+            (["realize", "--class", "x" * 4000, "0"], "", 2),
+            (["pts", "FILE"], '{"n": 2, "upper": {"0,DIGITS": "1", " 0,DIGITS": "1"}}', 2),
+        ],
+        ids=["realize-n", "forced-n", "realize-index", "pts-n", "enumerate-n", "graph-n", "forced-pin", "class-n", "pair-keys"],
+    )
+    def test_long_value_is_echoed_cut_short(self, tmp_path, capsys, argv, text, code):
+        # a 4,000-digit number, well inside the digit limit, is echoed cut
+        # to a fixed length wherever a message names it
+        path = tmp_path / "long.json"
+        path.write_text(text.replace("DIGITS", "9" * 4000))
+        assert main([a.replace("FILE", str(path)).replace("DIGITS", "9" * 4000) for a in argv]) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and len(lines[0].encode()) < 300
 
     @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
     def test_oversized_input_exits_3_naming_path_and_size(self, tmp_path, capsys, command):

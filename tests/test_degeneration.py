@@ -9,16 +9,17 @@ import random
 
 from conftest import per_extension_closed_reps_bfs, snf_diagonal
 from qpoints.adequacy import enumerate_adequate
+from qpoints import degeneration
 from qpoints.cli import main
 from qpoints.degeneration import (
     DegNode,
-    _closed_reps_bfs,
     build_graph,
     enumerate_nodes,
     graph_json_dict,
     node_ids,
     sinks,
     to_dot,
+    transitive_reduction,
 )
 from qpoints.gallery import pentagonal_good_set, sign_matrix
 from qpoints.lattice import (
@@ -211,17 +212,29 @@ class TestNodes:
             scan_closed_reps(2)
 
     def test_traversal_matches_per_extension_oracle(self):
-        # the batched traversal meets the same classes and the same raw
-        # one-step inclusions, before any sorting or transitive reduction
-        def key(node):
-            return node.closed_set.mask, node.label, node.type_vector, node.orbit_size
-
+        # the batched traversal meets the same classes, and its arrows
+        # reduce the same one-step inclusions
         for n in range(6):
-            nodes, steps = _closed_reps_bfs(n)
             ref_nodes, ref_steps = per_extension_closed_reps_bfs(n)
-            assert sorted(map(key, nodes)) == sorted(map(key, ref_nodes))
-            assert len(nodes) == len(ref_nodes)
-            assert steps == ref_steps
+            ref_nodes.sort(key=lambda node: (node.label, node.closed_set.mask))
+            index = {node.closed_set.mask: i for i, node in enumerate(ref_nodes)}
+            sizes = [len(node.closed_set) for node in ref_nodes]
+            ref_arrows = transitive_reduction(sizes, {(index[a], index[b]) for a, b in ref_steps})
+            graph = build_graph(n)
+            assert graph.nodes == tuple(ref_nodes)
+            assert graph.arrows == tuple(sorted(ref_arrows))
+
+    def test_one_cached_build_per_n(self, monkeypatch):
+        # graph, enumerate --nodes and sinks read one build of the graph,
+        # so one process traverses each n once
+        calls = []
+        real = degeneration.traverse
+        monkeypatch.setattr(degeneration, "traverse", lambda n: calls.append(n) or real(n))
+        build_graph.cache_clear()
+        graph = build_graph(4)
+        assert enumerate_nodes(4) is graph.nodes
+        assert sinks(4) == [node for node in graph.nodes if node.label == 0]
+        assert calls == [4]
 
     def test_nodes_are_the_realizable_catalog_classes(self):
         # the two consumers of lattice.traverse agree: a collection is

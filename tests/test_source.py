@@ -253,7 +253,31 @@ def test_sweep_is_only_a_reference():
 def test_quartet_step_taken_only_by_traversal_and_saturation():
     # one closure-system traversal builds both the catalog and the graph
     assert calling_scopes("_quartet_add") == {"lattice.traverse", "lattice.quartet_saturate"}
-    assert calling_scopes("traverse") == {"adequacy.enumerate_adequate", "degeneration._closed_reps_bfs"}
+    assert calling_scopes("traverse") == {"adequacy.enumerate_adequate", "degeneration.build_graph"}
+
+
+def test_graph_built_in_one_place():
+    # build_graph is the one cached build of the degeneration graph, so a
+    # new node or arrow field passes through one function; enumerate_nodes
+    # and sinks read its nodes
+    assert calling_scopes("_closure_label") == {"lattice.closure", "degeneration.build_graph"}
+    sources = {path.name: path.read_text() for path in Path(qpoints.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "_closed_reps_bfs" in text or "_nodes_cached" in text] == []
+
+
+def test_echoed_values_cut_in_one_place():
+    # every message shows an outside value through triples._shown, which
+    # cuts its repr; an f-string !r conversion would echo it whole
+    package = Path(qpoints.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "def _shown" in text] == ["triples.py"]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    ]
+    assert found == []
 
 
 def test_traverse_is_a_function_of_n_alone():
