@@ -51,7 +51,7 @@ from .degeneration import (
 )
 from .realize import NotAdequateError, forced_solutions, realize, realize_all
 from .scalars import MatrixFormatError, ScalarError, _json_int, _json_value, qmatrix_from_json_dict
-from .triples import TripleSet, _shown
+from .triples import _MAX_MASK_BITS, TripleSet, _shown, triple_rank
 from .variety import _check_size, components, good_triples, ideal_generators
 
 EXIT_OK = 0
@@ -82,12 +82,15 @@ def _manifest(argv: list[str], inputs: tuple[Path, ...], output: Path) -> dict:
 
 
 def _json_text(value, prefix: str = "") -> str:
-    """Exactly json.dumps(value, indent=2), nested under prefix.
+    """Exactly json.dumps(value, indent=2), nested under prefix, where a
+    TripleSet stands for the list of its triples.
 
     indent= sends json.dumps to its pure-Python encoder, so ints, strings,
-    string-keyed objects, lists of ints and lists of int lists (the bulk of
-    pts and graph output) are written here, one join per list; any other
-    value goes to json.dumps and is re-indented.
+    string-keyed objects, lists of ints and lists of int lists are written
+    here, one join per list.  A TripleSet (the bulk of pts and graph output)
+    is written straight from its mask, one % format per triple, and never
+    builds per-triple lists.  Any other value goes to json.dumps and is
+    re-indented.
     """
     kind = type(value)
     if kind is int:
@@ -96,6 +99,12 @@ def _json_text(value, prefix: str = "") -> str:
         return encode_basestring_ascii(value)
     inner = prefix + "  "
     sep = ",\n" + inner
+    if kind is TripleSet:
+        if not value.mask:
+            return "[]"
+        row = "\n" + inner + "  "
+        triple = "".join(("[", row, "%d,", row, "%d,", row, "%d\n", inner, "]"))
+        return "".join(("[\n", inner, sep.join(map(triple.__mod__, value)), "\n", prefix, "]"))
     if kind is list and value:
         kinds = set(map(type, value))
         if kinds == {int}:
@@ -154,20 +163,36 @@ def _read_text(path: str) -> str:
 
 
 def _load_collection(path: str) -> TripleSet:
+    """The collection file at path, its mask built in one pass over the
+    triples.  A malformed triple (exit 2) is named before a bad n, and a bad
+    n before the first triple out of range (exit 3)."""
     data = _json_value(_read_text(path))
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
         raise MatrixFormatError("collection JSON must have keys n and triples")
     if not isinstance(data["triples"], list):
         raise MatrixFormatError("triples must be a list of index triples")
-    triples = []
+    n = data["n"]
+    ranked = type(n) is int and n >= 0  # else n is refused after the loop
+    mask, stray = 0, None
     for entry in data["triples"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise MatrixFormatError(f"triple must have three indices: {_shown(entry)}")
-        triples.append(tuple(sorted(_json_int(v, "triple index") for v in entry)))
-    n = _json_int(data["n"], "n")
+        i, j, k = entry
+        if not type(i) is type(j) is type(k) is int:
+            for v in entry:
+                _json_int(v, "triple index")
+        if ranked and stray is None:
+            i, j, k = sorted(entry)
+            if 0 <= i < j < k <= n and (rank := triple_rank((i, j, k), n)) < _MAX_MASK_BITS:
+                mask |= 1 << rank
+            else:
+                stray = (i, j, k)
+    n = _json_int(n, "n")
     if n < 0:
         raise ValueError("dimension index must be >= 0")
-    return TripleSet.of(n, triples)
+    if stray is not None:
+        TripleSet.of(n, [stray])  # raises the range or mask-limit error
+    return TripleSet(n, mask)
 
 
 def _fmt_triple(t) -> str:
@@ -183,11 +208,10 @@ def cmd_pts(args) -> int:
     Q = qmatrix_from_json_dict(data)
     good = good_triples(Q)
     config = components(good)
-    gens = ideal_generators(good)
     if args.json:
         out = config.to_json_dict()
-        out["good_triples"] = [list(t) for t in good]
-        out["ideal_generators"] = [list(t) for t in gens]
+        out["good_triples"] = good
+        out["ideal_generators"] = good.complement()  # ideal_generators(good), as a set
         print(_json_text(out))
         return EXIT_OK
     print("good triples:", " ".join(_fmt_triple(t) for t in good) or "(none)")
@@ -198,7 +222,7 @@ def cmd_pts(args) -> int:
     print("type:", "(" + ",".join(str(c) for c in config.type_vector) + ")")
     print(
         "ideal generators:",
-        " ".join("u%d*u%d*u%d" % t for t in gens) or "(none)",
+        " ".join("u%d*u%d*u%d" % t for t in ideal_generators(good)) or "(none)",
     )
     return EXIT_OK
 
@@ -206,7 +230,7 @@ def cmd_pts(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.nodes:
         nodes = enumerate_nodes(args.n)
-        lines = [json.dumps(rec, sort_keys=True) for rec in node_records(nodes)]
+        lines = [json.dumps(rec, sort_keys=True, default=list) for rec in node_records(nodes)]
         summary = f"nodes={len(nodes)}"
     else:
         catalog = enumerate_adequate(args.n)
@@ -310,6 +334,14 @@ def cmd_forced(args) -> int:
     return EXIT_OK
 
 
+def _int_arg(text: str) -> int:
+    """argparse's type=int, its error echoing the value cut short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -325,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pts)
 
     p = sub.add_parser("enumerate", help="adequate collections or graph nodes")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--adequate", action="store_true")
     group.add_argument("--nodes", action="store_true")
@@ -334,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("graph", help="degeneration graph")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.add_argument("--json", action="store_true")
     p.add_argument("--long", action="store_true")
     p.add_argument("--out")
@@ -353,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("sinks", help="maximal degenerations (label-0 nodes)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.add_argument("--long", action="store_true")
     p.set_defaults(func=cmd_sinks)
 

@@ -159,13 +159,14 @@ def to_dot(graph: DegGraph) -> str:
 
 
 def node_records(nodes: Sequence[DegNode]) -> list[dict]:
-    """One JSON record per node, keyed by its display id."""
+    """One record per node, keyed by its display id; closed_set is the
+    node's TripleSet, which JSON writers give as the list of its triples."""
     return [
         {
             "id": nid,
             "label": node.label,
             "type": list(node.type_vector),
-            "closed_set": [list(t) for t in node.closed_set],
+            "closed_set": node.closed_set,
             "orbit_size": node.orbit_size,
         }
         for node, nid in zip(nodes, node_ids(nodes))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from qpoints.gallery import (
     p3_two_planes_matrix,
     pentagonal_good_set,
 )
+from qpoints.triples import TripleSet, num_triples
 
 
 def write_matrix(tmp_path, Q, name="matrix.json"):
@@ -257,6 +259,24 @@ def _json_values():
     )
 
 
+def _triple_set_cases():
+    """Empty and full sets, and seeded random masks for n <= 8."""
+    cases = [(f"empty-n{n}", TripleSet.empty(n)) for n in (0, 1, 2, 5)]
+    cases += [(f"full-n{n}", TripleSet.full(n)) for n in range(2, 7)]
+    rng = random.Random(3401)
+    for n in range(9):
+        for k in range(3):
+            cases.append((f"random-n{n}-{k}", TripleSet(n, rng.getrandbits(num_triples(n)))))
+    return cases
+
+
+def _nested(value, kinds):
+    """value wrapped in a dict or a list per entry of kinds, innermost first."""
+    for kind in kinds:
+        value = {"n": 1, "set": value, "z": [2]} if kind == "dict" else [3, value, [4]]
+    return value
+
+
 class TestJsonText:
     # the CLI writes its indented JSON without json.dumps; it must agree
     # with json.dumps(value, indent=2) byte for byte on any value
@@ -281,6 +301,15 @@ class TestJsonText:
     )
     def test_explicit_cases(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("triple_set", [case for _, case in _triple_set_cases()], ids=[name for name, _ in _triple_set_cases()])
+    def test_triple_set_matches_json_dumps_of_its_list(self, triple_set):
+        # a TripleSet is written as json.dumps writes the list of its
+        # triples, alone and nested in dicts and lists at depths 0 to 3
+        as_list = [list(t) for t in triple_set]
+        for depth in range(4):
+            for kinds in itertools.product(["dict", "list"], repeat=depth):
+                assert _json_text(_nested(triple_set, kinds)) == json.dumps(_nested(as_list, kinds), indent=2)
 
     @pytest.mark.parametrize("value", [[1, object()], {"a": {1, 2}}, {(1, 2): 3}])
     def test_unserializable_raises_like_json_dumps(self, value):
@@ -442,6 +471,53 @@ class TestFileErrors:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and len(lines[0].encode()) < 300
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                "9" * 5000,
+                marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"),
+                id="digits",
+            ),
+            pytest.param("x" * 5000, id="letters"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["graph", "N"], ["enumerate", "N", "--adequate"], ["sinks", "N"]], ids=lambda a: a[0])
+    def test_long_int_argument_is_echoed_cut_short(self, capsys, argv, text):
+        # argparse's usage error for an N that is no int echoes it cut to a
+        # fixed length; a short value keeps argparse's own wording
+        for value, limit in ((text, 300), ("abc", None)):
+            with pytest.raises(SystemExit) as exc:
+                main([value if a == "N" else a for a in argv])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            last = captured.err.splitlines()[-1]
+            assert captured.out == ""
+            if limit:
+                assert len(last.encode()) < limit
+            else:
+                assert last == f"qpoints {argv[0]}: error: argument n: invalid int value: 'abc'"
+
+    @pytest.mark.parametrize(
+        "data, err",
+        [
+            ({"n": 3, "triples": [[0, 1, 9], [0, 1]]}, "parse error: triple must have three indices: [0, 1]"),
+            ({"n": -3, "triples": [[0, 1, 2], [1, True, 2]]}, "parse error: triple index must be an integer, got True"),
+            ({"n": 2.0, "triples": [[0, 1, 9]]}, "parse error: n must be an integer, got 2.0"),
+            ({"n": -1, "triples": [[0, 1, 9]]}, "invalid input: dimension index must be >= 0"),
+            ({"n": 3, "triples": [[2, 1, 0], [9, 1, 0], [1, 1, 2]]}, "invalid input: triple (0, 1, 9) violates 0 <= i < j < k <= 3"),
+        ],
+        ids=["triple-before-range", "triple-before-n", "n-before-range", "negative-n-before-range", "first-stray"],
+    )
+    def test_collection_faults_are_named_in_order(self, tmp_path, capsys, data, err):
+        # of several faults in one collection file, a malformed triple is
+        # named first, then a bad n, then the first triple out of range
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps(data))
+        for command in ("realize", "forced"):
+            assert main([command, str(path)]) == (2 if err.startswith("parse") else 3)
+            assert capsys.readouterr().err == err + "\n"
 
     @pytest.mark.parametrize("command", ["pts", "realize", "forced"])
     def test_oversized_input_exits_3_naming_path_and_size(self, tmp_path, capsys, command):
